@@ -28,6 +28,7 @@ byte-stable across every execution leg.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import AnalysisError, ConfigurationError
@@ -102,8 +103,10 @@ class LoadCurveConfig:
                 "a rate ladder needs >= 2 rungs (the lowest rung is the "
                 "unloaded baseline)"
             )
-        if any(not r > 0 for r in rates):
-            raise ConfigurationError("rates must all be > 0")
+        if any(not (r > 0 and math.isfinite(r)) for r in rates):
+            raise ConfigurationError(
+                f"rates must all be finite and > 0, got {list(rates)}"
+            )
         if any(b <= a for a, b in zip(rates, rates[1:])):
             raise ConfigurationError(
                 f"rates must be strictly increasing, got {list(rates)}"
@@ -113,9 +116,10 @@ class LoadCurveConfig:
             raise ConfigurationError("n_requests must be >= 1")
         if self.reps < 1:
             raise ConfigurationError("reps must be >= 1")
-        if not self.knee_multiple > 1.0:
+        if not (self.knee_multiple > 1.0 and math.isfinite(self.knee_multiple)):
             raise ConfigurationError(
-                f"knee_multiple must be > 1, got {self.knee_multiple}"
+                "knee_multiple must be finite and > 1, "
+                f"got {self.knee_multiple}"
             )
 
     def to_dict(self) -> dict:

@@ -10,6 +10,8 @@ arrays so each step is vectorized.
 
 * :mod:`repro.engine.events` -- event kinds and trace records;
 * :mod:`repro.engine.simulator` -- the engine;
+* :mod:`repro.engine.native` -- C port of the single-group loop, used
+  when eligible and loadable (bit-identical to the Python loop);
 * :mod:`repro.engine.compile` -- columnar program tables for the hot path;
 * :mod:`repro.engine.calendar` -- wake-up heap and runnable-set index;
 * :mod:`repro.engine.tracing` -- optional per-event trace sinks;

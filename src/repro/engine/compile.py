@@ -26,10 +26,11 @@ floating-point expression* the interpreted engine evaluated per event,
 on the same operands, so compiled runs are bit-for-bit identical to the
 historical per-segment dispatch.
 
-Python-list mirrors of the hot columns are materialised as well: the
-scalar advance path reads single elements, and plain ``float`` access
-through a list is several times faster than numpy scalar indexing while
-remaining IEEE-identical.
+Python-list mirrors of the hot columns (``kind_l``, ``work_l``, ...) are
+built on first access: the Python advance path reads single elements,
+and plain ``float`` access through a list is several times faster than
+numpy scalar indexing while remaining IEEE-identical.  The native loop
+reads the numpy columns directly, so its runs never build them.
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ class CompiledPrograms:
     Segment ``p`` of thread ``tid`` lives at flat row
     ``seg_base[tid] + p``; a thread's rows are contiguous and
     ``seg_count[tid]`` long.  Columns not applicable to a row's kind hold
-    zeros.  The ``*_l`` attributes are Python-list mirrors of the numpy
-    columns for fast scalar access.
+    zeros.  ``<column>_l`` is a Python-list mirror of a numpy column for
+    fast scalar access, built on first use.
     """
 
     n_threads: int
@@ -108,48 +109,27 @@ class CompiledPrograms:
         default_factory=dict
     )
 
-    # list mirrors (populated by compile_programs)
-    seg_base_l: list[int] = field(default_factory=list)
-    kind_l: list[int] = field(default_factory=list)
-    work_l: list[float] = field(default_factory=list)
-    mem_l: list[float] = field(default_factory=list)
-    pp_l: list[float] = field(default_factory=list)
-    io_disk_l: list[bool] = field(default_factory=list)
-    io_base_l: list[float] = field(default_factory=list)
-    io_raw_l: list[float] = field(default_factory=list)
-    io_write_l: list[bool] = field(default_factory=list)
-    io_net_dur_l: list[float] = field(default_factory=list)
-    io_scale_l: list[float] = field(default_factory=list)
-    io_fixed_l: list[float] = field(default_factory=list)
-    io_irqs_l: list[int] = field(default_factory=list)
-    io_extra_l: list[float] = field(default_factory=list)
-    io_wakemig_l: list[float] = field(default_factory=list)
-    comm_dur_l: list[float] = field(default_factory=list)
-    bar_key_l: list[int] = field(default_factory=list)
-    mark_mask_l: list[bool] = field(default_factory=list)
-    mark_submit_l: list[float] = field(default_factory=list)
+    def __getattr__(self, name: str):
+        # Python-list mirror ``<column>_l``, built on first access
+        column = name[:-2]
+        if name.endswith("_l") and column in _MIRRORED:
+            mirror = getattr(self, column).tolist()
+            setattr(self, name, mirror)
+            return mirror
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
 
-    def finalize_mirrors(self) -> None:
-        """(Re)build the Python-list mirrors from the numpy columns."""
-        self.seg_base_l = self.seg_base.tolist()
-        self.kind_l = self.kind.tolist()
-        self.work_l = self.work.tolist()
-        self.mem_l = self.mem.tolist()
-        self.pp_l = self.pp.tolist()
-        self.io_disk_l = self.io_disk.tolist()
-        self.io_base_l = self.io_base.tolist()
-        self.io_raw_l = self.io_raw.tolist()
-        self.io_write_l = self.io_write.tolist()
-        self.io_net_dur_l = self.io_net_dur.tolist()
-        self.io_scale_l = self.io_scale.tolist()
-        self.io_fixed_l = self.io_fixed.tolist()
-        self.io_irqs_l = self.io_irqs.tolist()
-        self.io_extra_l = self.io_extra.tolist()
-        self.io_wakemig_l = self.io_wakemig.tolist()
-        self.comm_dur_l = self.comm_dur.tolist()
-        self.bar_key_l = self.bar_key.tolist()
-        self.mark_mask_l = self.mark_mask.tolist()
-        self.mark_submit_l = self.mark_submit.tolist()
+
+#: numpy columns with a lazily built ``<column>_l`` list mirror
+_MIRRORED = frozenset(
+    (
+        "seg_base", "kind", "work", "mem", "pp", "io_disk", "io_base",
+        "io_raw", "io_write", "io_net_dur", "io_scale", "io_fixed",
+        "io_irqs", "io_extra", "io_wakemig", "comm_dur", "bar_key",
+        "mark_mask", "mark_submit",
+    )
+)
 
 
 def compile_programs(
@@ -285,7 +265,7 @@ def compile_programs(
                     barrier_participants.get(key, 0) + 1
                 )
 
-    tables = CompiledPrograms(
+    return CompiledPrograms(
         n_threads=n,
         n_segments=total,
         seg_base=seg_base,
@@ -311,5 +291,3 @@ def compile_programs(
         mark_submit=mark_submit,
         barrier_participants=barrier_participants,
     )
-    tables.finalize_mirrors()
-    return tables

@@ -74,6 +74,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.engine import native
 from repro.engine.calendar import EventCalendar, RunnableIndex
 from repro.engine.compile import (
     KIND_BARRIER,
@@ -198,11 +199,20 @@ class EngineConfig:
     latency: "LatencyRecorder | None" = None
 
     def __post_init__(self) -> None:
-        if self.capacity <= 0:
-            raise SimulationError(f"capacity must be > 0, got {self.capacity}")
-        if self.thrash_factor < 1.0:
+        # NaN fails every comparison, so each check is written to pass
+        # only for finite in-range values
+        if not (self.capacity > 0 and math.isfinite(self.capacity)):
             raise SimulationError(
-                f"thrash_factor must be >= 1, got {self.thrash_factor}"
+                f"capacity must be finite and > 0, got {self.capacity}"
+            )
+        thrash = self.thrash_factor
+        if not (thrash >= 1.0 and math.isfinite(thrash)):
+            raise SimulationError(
+                f"thrash_factor must be finite and >= 1, got {thrash}"
+            )
+        if not math.isfinite(self.max_time):
+            raise SimulationError(
+                f"max_time must be finite, got {self.max_time}"
             )
 
 
@@ -556,6 +566,9 @@ class Simulator:
         self._sg_cache: dict[int, tuple] = {}
         self._mg_cache: dict = {}
 
+        #: which loop advanced the last :meth:`run`: "native" or "python"
+        self.loop: str | None = None
+
         if profiler is not None:
             profiler.bind(self)
 
@@ -885,8 +898,45 @@ class Simulator:
     # ------------------------------------------------------------------
     # main loop
 
+    def _steps_error(self) -> SimulationError:
+        return SimulationError(
+            f"exceeded {self.max_steps} engine steps at t={self.t:.3f}s"
+        )
+
+    def _time_error(self) -> SimulationError:
+        return SimulationError(
+            f"exceeded max simulation time {self.max_time}s "
+            f"({self.n_done}/{self.n_threads} threads done)"
+        )
+
+    def _deadlock_error(self, n_waiting: int) -> SimulationError:
+        return SimulationError(
+            "deadlock: no runnable threads and no pending wake-ups "
+            f"({self.n_done}/{self.n_threads} done; barriers "
+            f"waiting: {n_waiting})"
+        )
+
     def run(self) -> EngineResult:
-        """Simulate to completion and return the results."""
+        """Simulate to completion and return the results.
+
+        Untraced, unprofiled single-group runs on the plain storage model
+        advance on the native kernel (:mod:`repro.engine.native`) when it
+        is available; everything else runs the Python loop below.  Both
+        produce the same bits.
+        """
+        lib = (
+            native.kernel()
+            if self._single
+            and self._plain_storage
+            and not self._traced
+            and self._profiler is None
+            else None
+        )
+        if lib is not None:
+            self.loop = "native"
+            native.run(self, lib)
+            return self._build_result()
+        self.loop = "python"
         steps = 0
         cal = self._calendar
         index = self._index
@@ -902,9 +952,7 @@ class Simulator:
         while self.n_done < self.n_threads:
             steps += 1
             if steps > self.max_steps:
-                raise SimulationError(
-                    f"exceeded {self.max_steps} engine steps at t={self.t:.3f}s"
-                )
+                raise self._steps_error()
 
             # 1. deliver due wake-ups / arrivals (ascending thread id)
             due = cal.pop_due(self.t + _EPS)
@@ -933,11 +981,8 @@ class Simulator:
             if n_run == 0:
                 next_wake = cal.next_time()
                 if not math.isfinite(next_wake):
-                    raise SimulationError(
-                        "deadlock: no runnable threads and no pending wake-ups "
-                        f"({self.n_done}/{self.n_threads} done; barriers "
-                        f"waiting: "
-                        f"{sum(len(v) for v in self.barrier_waiters.values())})"
+                    raise self._deadlock_error(
+                        sum(len(v) for v in self.barrier_waiters.values())
                     )
                 self.t = max(self.t, next_wake)
                 continue
@@ -1039,10 +1084,7 @@ class Simulator:
                         )
                 self.t += dt
                 if self.t > self.max_time:
-                    raise SimulationError(
-                        f"exceeded max simulation time {self.max_time}s "
-                        f"({self.n_done}/{self.n_threads} threads done)"
-                    )
+                    raise self._time_error()
 
             # 5. complete finished compute segments (grouped waves)
             finished = run_idx[ttf <= dt + _EPS]

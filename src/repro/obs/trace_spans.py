@@ -631,9 +631,11 @@ def render_span_tree(spans) -> str:
     def walk(node: SpanNode, depth: int) -> None:
         span = node.span
         where = f"  [{span.worker}]" if span.worker else ""
+        engine = span.attrs.get("engine")
+        loop = f"  engine={engine}" if engine else ""
         lines.append(
             f"{'  ' * depth}{span.kind:<8} {span.name}  "
-            f"{span.duration * 1e3:.1f}ms{where}"
+            f"{span.duration * 1e3:.1f}ms{loop}{where}"
         )
         for child in node.children:
             walk(child, depth + 1)

@@ -284,9 +284,10 @@ def run_once(
     (:func:`repro.obs.trace_spans.active_tracer`), the two engine
     phases of the repetition — ``compile`` (workload build + overhead
     model + simulator construction) and ``advance`` (the simulation
-    itself) — are emitted as phase spans under the cell.  The hook is
-    one module-global read when tracing is off and never perturbs the
-    result.
+    itself, tagged ``engine="native"`` or ``engine="python"`` after the
+    loop that ran it) — are emitted as phase spans under the cell.  The
+    hook is one module-global read when tracing is off and never
+    perturbs the result.
     """
     tracer = active_tracer()
     if tracer is None:
@@ -319,5 +320,8 @@ def run_once(
     start = time.time()
     t0 = time.perf_counter()
     engine_result = prep.sim.run()
-    tracer.phase("advance", start, time.perf_counter() - t0, rep=rep)
+    tracer.phase(
+        "advance", start, time.perf_counter() - t0, rep=rep,
+        engine=prep.sim.loop,
+    )
     return finish_run(prep, engine_result, metrics=metrics)

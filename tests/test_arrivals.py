@@ -32,7 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.loadcurve import LoadCurveConfig
-from repro.errors import WorkloadError
+from repro.errors import ConfigurationError, WorkloadError
 from repro.rng import RngFactory
 from repro.run.campaign import Campaign, loadcurve_tasks
 from repro.run.persistence import task_fingerprint
@@ -174,6 +174,18 @@ class TestValidation:
             DiurnalArrivals(trace=(1.0,))
         with pytest.raises(WorkloadError):
             DiurnalArrivals(trace=(1.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"rates": (10.0, math.inf)},
+            {"rates": (math.nan, 10.0)},
+            {"knee_multiple": math.inf},
+        ],
+    )
+    def test_non_finite_load_curve_rejected(self, kw):
+        with pytest.raises(ConfigurationError, match="finite"):
+            LoadCurveConfig(**kw)
 
 
 # -- cell identity ---------------------------------------------------------

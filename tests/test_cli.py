@@ -569,6 +569,14 @@ class TestLoadCurveCommand:
         assert rc == 1
         assert "increasing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rates", ["10,inf", "10,nan", "nan,10"])
+    def test_non_finite_rate_exits_one(self, capsys, tmp_path, rates):
+        out = tmp_path / "lc.md"
+        rc = main(["loadcurve", "--rates", rates, "--out", str(out)])
+        assert rc == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_end_to_end_with_artifacts(self, capsys, tmp_path):
         out = tmp_path / "lc.md"
         knee = tmp_path / "knee.json"

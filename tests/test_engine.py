@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -513,3 +515,19 @@ class TestGuards:
     def test_invalid_thrash(self):
         with pytest.raises(SimulationError):
             EngineConfig(capacity=1.0, overhead=bm_overhead(), thrash_factor=0.5)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("capacity", math.nan),
+            ("capacity", math.inf),
+            ("thrash_factor", math.nan),
+            ("thrash_factor", math.inf),
+            ("max_time", math.nan),
+            ("max_time", math.inf),
+        ],
+    )
+    def test_non_finite_rejected(self, field, value):
+        kw = {"capacity": 2.0, field: value}
+        with pytest.raises(SimulationError, match="finite"):
+            EngineConfig(overhead=bm_overhead(), **kw)

@@ -358,6 +358,19 @@ class TestCampaignTracing:
         names = {s.name for s in spans if s.kind == "phase"}
         assert {"compile", "advance", "checkpoint"} <= names
 
+    def test_advance_phase_names_the_engine_loop(self, serial):
+        from repro.engine import native
+
+        _result, spans = serial
+        engines = {
+            s.attrs.get("engine")
+            for s in spans
+            if s.kind == "phase" and s.name == "advance"
+        }
+        assert engines == {"python" if native.kernel() is None else "native"}
+        rendered = render_span_tree(spans)
+        assert f"engine={engines.pop()}" in rendered
+
     def test_one_worker_fabric_tree_equals_serial(self, serial, tmp_path):
         _result, serial_spans = serial
         init_queue(tmp_path / "q", _camp(), shards=2, lease_ttl=60.0, trace=True)
