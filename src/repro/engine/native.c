@@ -36,7 +36,7 @@ enum {
     RC_MAX_STEPS = 3, RC_MAX_TIME = 4, RC_DEADLOCK = 5, RC_NOMEM = 6
 };
 /* latency streams: io_wait, comm_wait, barrier_wait */
-enum { LAT_IO = 0, LAT_COMM = 1, LAT_BARRIER = 2 };
+enum { LAT_IO = 0, LAT_COMM = 1, LAT_BARRIER = 2, N_LAT = 3 };
 /* rate record: the _sg_record tuple minus timeslice and share */
 enum {
     R_CFAC, R_MIG, R_NUM, R_BUSY, R_EV, R_USEFUL, R_STEADY, R_BG,
@@ -49,6 +49,12 @@ enum {
 };
 
 #define EPS 1e-12
+
+/* a growable buffer of doubles Python replays */
+typedef struct {
+    double *v;
+    int64_t n, cap;
+} ns_buf;
 
 typedef struct {
     /* compiled program tables (read only) */
@@ -102,13 +108,13 @@ typedef struct {
     const int64_t *init_wait_bar, *init_wait_tid;
     int64_t n_init_wait;
 
-    /* buffers Python replays: op responses and latency observations */
+    /* buffers Python replays: op responses, and latency observations
+       per stream with the streams in first-use order since the last
+       replay */
     int64_t flush_at;
-    double *resp;
-    int64_t n_resp, cap_resp;
-    double *lat_val;
-    int8_t *lat_kind;
-    int64_t n_lat, cap_lat;
+    ns_buf resp;
+    ns_buf lat[N_LAT];
+    int64_t lat_order[N_LAT], n_lat_order;
 
     /* kernel-owned scratch */
     double *heap_t;
@@ -238,33 +244,28 @@ static void idx_refresh(ns_state *s) {
 /* ------------------------------------------------------------------ */
 /* replay buffers */
 
-static int push_resp(ns_state *s, double v) {
-    if (s->n_resp == s->cap_resp) {
-        int64_t cap = 2 * s->cap_resp + 64;
-        double *p = realloc(s->resp, (size_t)cap * sizeof(double));
+static int buf_push(ns_buf *b, double v) {
+    if (b->n == b->cap) {
+        int64_t cap = 2 * b->cap + 64;
+        double *p = realloc(b->v, (size_t)cap * sizeof(double));
         if (!p) return -1;
-        s->resp = p;
-        s->cap_resp = cap;
+        b->v = p;
+        b->cap = cap;
     }
-    s->resp[s->n_resp++] = v;
+    b->v[b->n++] = v;
     return 0;
 }
 
-static int push_lat(ns_state *s, int kind, double v) {
+static int push_lat(ns_state *s, int stream, double v) {
     if (!s->record_latency) return 0;
-    if (s->n_lat == s->cap_lat) {
-        int64_t cap = 2 * s->cap_lat + 64;
-        double *p = realloc(s->lat_val, (size_t)cap * sizeof(double));
-        if (!p) return -1;
-        s->lat_val = p;
-        int8_t *k = realloc(s->lat_kind, (size_t)cap);
-        if (!k) return -1;
-        s->lat_kind = k;
-        s->cap_lat = cap;
-    }
-    s->lat_val[s->n_lat] = v;
-    s->lat_kind[s->n_lat] = (int8_t)kind;
-    s->n_lat++;
+    if (s->lat[stream].n == 0) s->lat_order[s->n_lat_order++] = stream;
+    return buf_push(&s->lat[stream], v);
+}
+
+static int flush_due(const ns_state *s) {
+    if (s->resp.n >= s->flush_at) return 1;
+    for (int k = 0; k < N_LAT; k++)
+        if (s->lat[k].n >= s->flush_at) return 1;
     return 0;
 }
 
@@ -316,7 +317,7 @@ static int advance_one(ns_state *s, int64_t j, double t, int64_t *sp) {
     int64_t end = s->seg_base[j + 1];
     int64_t row = base + s->seg_ptr[j];
     if (row >= base && s->mark_mask[row]) {
-        if (push_resp(s, t - s->mark_submit[row])) return -1;
+        if (buf_push(&s->resp, t - s->mark_submit[row])) return -1;
     }
     for (;;) {
         row++;
@@ -410,14 +411,16 @@ void ns_free(ns_state *s) {
     free(s->due);
     free(s->stack);
     free(s->seen);
-    free(s->resp);
-    free(s->lat_val);
-    free(s->lat_kind);
-    s->heap_t = s->rate = s->ttf = s->resp = s->lat_val = NULL;
+    free(s->resp.v);
+    s->resp.v = NULL;
+    for (int k = 0; k < N_LAT; k++) {
+        free(s->lat[k].v);
+        s->lat[k].v = NULL;
+    }
+    s->heap_t = s->rate = s->ttf = NULL;
     s->heap_id = s->wait_head = s->wait_tail = s->wait_next = NULL;
     s->run_idx = s->fin = s->due = s->stack = NULL;
     s->seen = NULL;
-    s->lat_kind = NULL;
 }
 
 /* Allocate scratch and load the initial calendar and barrier waiters.
@@ -459,8 +462,6 @@ int ns_init(ns_state *s) {
         s->n_waiting++;
     }
     s->dirty = 1;
-    s->n_resp = s->cap_resp = 0;
-    s->n_lat = s->cap_lat = 0;
     return 0;
 }
 
@@ -470,8 +471,7 @@ int ns_init(ns_state *s) {
 int ns_run(ns_state *s) {
     double *cnt = s->counters;
     while (s->n_done < s->n_threads) {
-        if (s->n_resp >= s->flush_at || s->n_lat >= s->flush_at)
-            return RC_FLUSH;
+        if (flush_due(s)) return RC_FLUSH;
         s->steps++;
         if (s->steps > s->max_steps) return RC_MAX_STEPS;
 

@@ -48,8 +48,8 @@ _SOURCE = Path(__file__).with_name("native.c")
 _CACHE = Path(__file__).with_name("_native_cache")
 _FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
-# ns_run return codes (native.c)
-_RC_DONE, _RC_RECORD, _RC_FLUSH = 0, 1, 2
+# ns_run return codes (native.c); 0 means every thread is done
+_RC_RECORD, _RC_FLUSH = 1, 2
 _RC_MAX_STEPS, _RC_MAX_TIME, _RC_DEADLOCK, _RC_NOMEM = 3, 4, 5, 6
 
 #: latency stream of each kernel latency code
@@ -99,6 +99,12 @@ def _fields(names: str, ctype) -> list[tuple[str, object]]:
 _P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 
 
+class _Buf(ctypes.Structure):
+    """Mirror of ``ns_buf``: a kernel-owned growable array of doubles."""
+
+    _fields_ = [("v", _P), ("n", _I), ("cap", _I)]
+
+
 class _State(ctypes.Structure):
     """Mirror of ``ns_state`` in ``native.c`` (same order, same types)."""
 
@@ -120,10 +126,8 @@ class _State(ctypes.Structure):
         + _fields("n_init_heap", _I)
         + _fields("init_wait_bar init_wait_tid", _P)
         + _fields("n_init_wait flush_at", _I)
-        + _fields("resp", _P)
-        + _fields("n_resp cap_resp", _I)
-        + _fields("lat_val lat_kind", _P)
-        + _fields("n_lat cap_lat", _I)
+        + [("resp", _Buf), ("lat", _Buf * len(_LAT_STREAMS))]
+        + [("lat_order", _I * len(_LAT_STREAMS)), ("n_lat_order", _I)]
         + _fields("heap_t heap_id", _P)
         + _fields("n_heap cap_heap", _I)
         + _fields("wait_head wait_tail wait_next run_idx", _P)
@@ -207,13 +211,12 @@ def _ptr(array: np.ndarray, dtype, size: int, name: str) -> int:
     return array.ctypes.data
 
 
-def _copy(address: int, dtype, count: int) -> np.ndarray:
-    """A copy of ``count`` kernel-owned elements at ``address``."""
-    if count == 0:
-        return np.empty(0, dtype=dtype)
-    ctype = np.ctypeslib.as_ctypes_type(np.dtype(dtype))
-    buf = (ctype * count).from_address(address)
-    return np.frombuffer(buf, dtype=dtype).copy()
+def _take(buf: _Buf) -> list[float]:
+    """Empty a kernel buffer into a list."""
+    out = np.empty(buf.n)
+    ctypes.memmove(out.ctypes.data, buf.v, out.nbytes)
+    buf.n = 0
+    return out.tolist()
 
 
 class _Run:
@@ -318,18 +321,15 @@ class _Run:
     def drain(self) -> None:
         """Replay the buffered op responses and latency observations."""
         st, sim = self.st, self.sim
-        if st.n_resp:
-            responses = _copy(st.resp, np.float64, st.n_resp).tolist()
+        if st.resp.n:
+            responses = _take(st.resp)
             sim.op_responses.extend(responses)
             sim.op_group.extend([0] * len(responses))
-            st.n_resp = 0
-        if st.n_lat:
-            kinds = _copy(st.lat_kind, np.int8, st.n_lat).tolist()
-            values = _copy(st.lat_val, np.float64, st.n_lat).tolist()
-            observe = sim._lat.observe
-            for k, v in zip(kinds, values):
-                observe(_LAT_STREAMS[k], v)
-            st.n_lat = 0
+        # streams in order of first observation, as observe() would
+        # create them; each keeps its values in order
+        for k in st.lat_order[: st.n_lat_order]:
+            sim._lat.extend(_LAT_STREAMS[k], _take(st.lat[k]))
+        st.n_lat_order = 0
 
     def write_back(self) -> None:
         """Store what the Python loop keeps outside the shared arrays."""
@@ -378,10 +378,13 @@ def run(sim, lib: ctypes.CDLL) -> None:
     try:
         while True:
             code = lib.ns_run(st)
-            r.drain()
             if code == _RC_RECORD:
                 r.add_record(r.st.need_record)
-            elif code != _RC_FLUSH:
+                continue
+            # nothing reads the replayed lists before the run ends, so
+            # replaying only on flushes and at exit keeps their order
+            r.drain()
+            if code != _RC_FLUSH:
                 break
     finally:
         lib.ns_free(st)

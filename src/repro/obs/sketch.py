@@ -461,6 +461,14 @@ class LatencyRecorder:
             pending = self._pending[stream] = []
         pending.append(float(value))
 
+    def extend(self, stream: str, values) -> None:
+        """Buffer ``values`` on ``stream`` in order: the same state as
+        calling :meth:`observe` for each of them."""
+        pending = self._pending.get(stream)
+        if pending is None:
+            pending = self._pending[stream] = []
+        pending.extend(map(float, values))
+
     def observe_many(self, stream: str, values) -> None:
         """Fold a batch of observations straight into ``stream``."""
         self.sketch(stream).observe_many(values)

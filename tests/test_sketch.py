@@ -206,6 +206,15 @@ class TestLatencyRecorder:
         direct.observe_many([0.1, 0.2, 0.3, 0.4, 0.5])
         assert rec.sketch("io_wait").serialize() == direct.serialize()
 
+    def test_extend_equals_observe_loop(self):
+        looped, extended = LatencyRecorder(), LatencyRecorder()
+        for stream, values in (("b", [0.3, 0.1]), ("a", [0.2]), ("b", [0.5])):
+            for v in values:
+                looped.observe(stream, v)
+            extended.extend(stream, values)
+        assert extended._pending == looped._pending
+        assert list(extended._pending) == ["b", "a"]
+
     def test_sketches_sorted_and_flushed(self):
         rec = LatencyRecorder()
         rec.observe("z_stream", 1.0)
