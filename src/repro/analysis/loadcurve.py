@@ -116,10 +116,10 @@ class LoadCurveConfig:
             raise ConfigurationError("n_requests must be >= 1")
         if self.reps < 1:
             raise ConfigurationError("reps must be >= 1")
-        if not (self.knee_multiple > 1.0 and math.isfinite(self.knee_multiple)):
+        knee = self.knee_multiple
+        if not (knee > 1.0 and math.isfinite(knee)):
             raise ConfigurationError(
-                "knee_multiple must be finite and > 1, "
-                f"got {self.knee_multiple}"
+                f"knee_multiple must be finite and > 1, got {knee}"
             )
 
     def to_dict(self) -> dict:
