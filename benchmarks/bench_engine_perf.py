@@ -63,11 +63,10 @@ def test_perf_multitask_run(benchmark):
 
 
 def test_perf_parallel_sweep_speedup(benchmark, results_dir):
-    """Serial vs ``jobs=4``-batched wall clock on a Fig-3-shaped sweep.
+    """Serial vs ``jobs=4`` wall clock on a Fig-3-shaped sweep.
 
-    The parallel path runs the batched multi-cell engine (``batch=True``)
-    — the configuration a fabric worker uses.  Times both paths once,
-    checks they produce identical results, and records the speedup to
+    Times both paths once, checks they produce identical results, and
+    records the speedup to
     ``results/parallel_speedup.json``.  The >= 2x assertion only applies
     on hosts with at least 4 CPUs — the pool cannot beat serial on a
     single core.
@@ -81,7 +80,7 @@ def test_perf_parallel_sweep_speedup(benchmark, results_dir):
 
     def parallel_sweep():
         return run_platform_sweep(
-            FfmpegWorkload(), instances, jobs=4, batch=True, **kwargs
+            FfmpegWorkload(), instances, jobs=4, **kwargs
         )
 
     t0 = time.perf_counter()
@@ -100,12 +99,11 @@ def test_perf_parallel_sweep_speedup(benchmark, results_dir):
         "parallel_jobs4_s": t_parallel,
         "speedup": speedup,
         "cpus": cpus,
-        "batch": True,
     }
     (results_dir / "parallel_speedup.json").write_text(
         json.dumps(record, indent=2)
     )
-    print(f"\nserial {t_serial:.2f}s  jobs=4+batch {t_parallel:.2f}s  "
+    print(f"\nserial {t_serial:.2f}s  jobs=4 {t_parallel:.2f}s  "
           f"speedup x{speedup:.2f} on {cpus} CPUs")
     if cpus >= 4:
         assert speedup >= 2.0

@@ -32,19 +32,13 @@ from pathlib import Path
 from repro import (
     CassandraWorkload,
     FfmpegWorkload,
-    SyntheticWorkload,
     WordPressWorkload,
     instance_type,
     make_platform,
     r830_host,
     run_once,
 )
-from repro.hostmodel.topology import r830_host as _r830
-from repro.platforms.base import PlatformKind
 from repro.rng import RngFactory
-from repro.run.calibration import Calibration
-from repro.run.parallel import CellTask, ParallelRunner, execute_cell
-from repro.sched.affinity import ProvisioningMode
 
 BASELINE = Path(__file__).parent / "results" / "engine_throughput.json"
 
@@ -55,59 +49,8 @@ CASES = {
     "multitask": (lambda: FfmpegWorkload().split(30), "4xLarge"),
 }
 
-# The campaign-level batched-engine case: the paper's seven-platform
-# grid at 30 repetitions with one workload shape — 210 shape-identical
-# cells, exactly what repro.engine.batch coalesces into one batch.
-# ``before`` times the scalar engine over the same sweep, ``after`` the
-# batched engine; both run through ParallelRunner at jobs=1 so the
-# comparison isolates the engine, not the pool.
-BATCH_SWEEP_GRID = (
-    ("BM", "vanilla"), ("VM", "vanilla"), ("VM", "pinned"),
-    ("CN", "vanilla"), ("CN", "pinned"),
-    ("VMCN", "vanilla"), ("VMCN", "pinned"),
-)
-BATCH_SWEEP_REPS = 30
-
-
-def _batch_sweep_tasks() -> list[CellTask]:
-    factory = RngFactory(11)
-    inst = instance_type("xLarge")
-    host = _r830()
-    calib = Calibration()
-    tasks = []
-    for kind, mode in BATCH_SWEEP_GRID:
-        wl = SyntheticWorkload(
-            threads_per_process=16, phases=30,
-            io_fraction=0.0, jitter_sigma=0.02,
-        )
-        streams = tuple(
-            factory.stream_spec(f"batch-sweep/{inst.name}", rep=k)
-            for k in range(BATCH_SWEEP_REPS)
-        )
-        tasks.append(CellTask(
-            workload=wl, kind=PlatformKind(kind),
-            mode=ProvisioningMode(mode), instance=inst,
-            host=host, calib=calib, streams=streams,
-        ))
-    return tasks
-
-
-def time_batch_sweep(batch: bool, reps: int = 3) -> float:
-    """Best-of-``reps`` wall clock of the 210-cell sweep, one engine."""
-    best = float("inf")
-    for _ in range(reps):
-        tasks = _batch_sweep_tasks()
-        runner = ParallelRunner(1, batch=batch)
-        t0 = time.perf_counter()
-        runner.run_tasks(execute_cell, tasks)
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def time_case(name: str, reps: int = 3) -> float:
     """Best-of-``reps`` wall clock of one engine-bound run."""
-    if name == "batched":
-        return time_batch_sweep(True, reps=reps)
     make_wl, inst = CASES[name]
     platform = make_platform("CN", instance_type(inst), "vanilla")
     host = r830_host()
@@ -149,7 +92,7 @@ def main() -> int:
     args = ap.parse_args()
 
     measured = {}
-    for name in (*CASES, "batched"):
+    for name in CASES:
         measured[name] = time_case(name, reps=args.reps)
         print(f"{name:10s} {measured[name]:.4f}s")
 
@@ -183,21 +126,13 @@ def main() -> int:
     for name, seconds in measured.items():
         slot = cases.setdefault(name, {})
         slot[f"{args.key}_s"] = round(seconds, 4)
-        if name == "batched":
-            # The batched row's "before" is the scalar engine over the
-            # identical sweep, measured in the same invocation so the
-            # pair always reflects one machine state.
-            slot["before_s"] = round(
-                time_batch_sweep(False, reps=args.reps), 4
-            )
         if "before_s" in slot and "after_s" in slot:
             slot["speedup"] = round(slot["before_s"] / slot["after_s"], 2)
     data["note"] = (
         "Engine wall clock per run (best of 3, seeds fixed); before = "
         "interpreted per-segment engine, after = compiled tables + event "
-        "calendar. The batched case times the 210-cell shape-homogeneous "
-        "sweep: before = scalar engine, after = batched engine. Re-record "
-        "with benchmarks/record_throughput.py --key after."
+        "calendar. Re-record with benchmarks/record_throughput.py --key "
+        "after."
     )
     BASELINE.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     print(f"baseline -> {BASELINE}")

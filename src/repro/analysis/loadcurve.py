@@ -20,8 +20,8 @@ saturation under pinning.
 Everything here is pure arithmetic over measured
 :class:`~repro.run.results.RunResult` lists; the runs come from the
 ordinary campaign machinery (:func:`repro.run.campaign.run_campaign`
-with ``"loadcurve"`` included), so ``--jobs``, ``--batch``, caching,
-resume, and fabric sharding all compose and the derived curves are
+with ``"loadcurve"`` included), so ``--jobs``, caching, resume, and
+fabric sharding all compose and the derived curves are
 byte-stable across every execution leg.
 """
 

@@ -379,13 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
         "across the campaign's machinery",
     )
     rep_p.add_argument(
-        "--batch",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="advance shape-compatible cells together on the batched "
-        "engine (bit-identical report; composes with --jobs/--resume)",
-    )
-    rep_p.add_argument(
         "--dist",
         action=argparse.BooleanOptionalAction,
         default=False,
@@ -475,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     lc_p.add_argument(
         "--knee-out", metavar="PATH",
         help="also write the knee analysis as canonical JSON "
-        "(byte-identical across --jobs/--batch/fabric legs)",
+        "(byte-identical across --jobs and fabric legs)",
     )
     lc_p.add_argument(
         "--svg", metavar="PATH",
@@ -505,13 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     lc_p.add_argument(
         "--fault-plan", metavar="PATH",
         help="arm a deterministic fault plan (see 'repro faults plan')",
-    )
-    lc_p.add_argument(
-        "--batch",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="advance shape-compatible cells together on the batched "
-        "engine (bit-identical outputs; composes with --jobs/--resume)",
     )
 
     obs_p = sub.add_parser(
@@ -566,8 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="emit canonical JSON (merged sketch states + percentiles; "
-        "byte-identical for identical campaigns regardless of --jobs "
-        "or --batch)",
+        "byte-identical for identical campaigns regardless of --jobs)",
     )
     dist_p.add_argument(
         "--svg", metavar="PATH", help="also render the CDFs as an SVG"
@@ -700,13 +685,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--lease-ttl", type=float, default=30.0,
             help="seconds without heartbeats before a lease counts as "
             "stale and peers may reclaim the shard",
-        )
-        p.add_argument(
-            "--batch",
-            action=argparse.BooleanOptionalAction,
-            default=False,
-            help="workers advance shape-compatible cells together on the "
-            "batched engine (bit-identical report)",
         )
         p.add_argument(
             "--trace",
@@ -1275,7 +1253,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
             checkpoint=checkpoint,
             resume=args.resume,
             faults=faults,
-            batch=args.batch,
             dist=args.dist,
             reps_policy=reps_policy,
             trace=trace,
@@ -1342,7 +1319,6 @@ def _cmd_loadcurve(args: argparse.Namespace) -> int:
             checkpoint=checkpoint,
             resume=args.resume,
             faults=faults,
-            batch=args.batch,
         )
     finally:
         journal.close()
@@ -1657,7 +1633,6 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
             _fabric_campaign(args),
             shards=args.shards,
             lease_ttl=args.lease_ttl,
-            batch=args.batch,
             trace=args.trace,
         )
         manifest = queue.manifest()
@@ -1700,7 +1675,6 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
             _fabric_campaign(args),
             shards=args.shards,
             lease_ttl=args.lease_ttl,
-            batch=args.batch,
             trace=args.trace,
             exist_ok=args.resume,
         )

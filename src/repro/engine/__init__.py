@@ -14,18 +14,9 @@ arrays so each step is vectorized.
   when eligible and loadable (bit-identical to the Python loop);
 * :mod:`repro.engine.compile` -- columnar program tables for the hot path;
 * :mod:`repro.engine.calendar` -- wake-up heap and runnable-set index;
-* :mod:`repro.engine.tracing` -- optional per-event trace sinks;
-* :mod:`repro.engine.batch` -- lock-step batched execution of
-  shape-compatible simulators (bit-identical per cell).
+* :mod:`repro.engine.tracing` -- optional per-event trace sinks.
 """
 
-from repro.engine.batch import (
-    BatchSimulator,
-    batch_eligible,
-    partition_sims,
-    run_batched,
-    sim_shape_key,
-)
 from repro.engine.calendar import EventCalendar, RunnableIndex
 from repro.engine.compile import CompiledPrograms, compile_programs
 from repro.engine.events import EventKind, TraceEvent
@@ -41,11 +32,6 @@ from repro.engine.tracing import ListTraceSink, NullTraceSink, TraceSink
 __all__ = [
     "EventKind",
     "TraceEvent",
-    "BatchSimulator",
-    "batch_eligible",
-    "partition_sims",
-    "run_batched",
-    "sim_shape_key",
     "CompiledPrograms",
     "compile_programs",
     "EventCalendar",

@@ -62,7 +62,7 @@ the same operands):
   computed once per distinct multiset and reused; counter accumulation
   collapses to scalar arithmetic on cached coefficients.  Homogeneous
   completion waves (many identical threads finishing in one step) are
-  advanced through a vectorized batch path with the order-sensitive
+  advanced through a vectorized wave path with the order-sensitive
   parts (disk-queue depth, float accumulation order) kept sequential.
 """
 
@@ -117,7 +117,7 @@ _CAUSE_COMM = 2
 
 _EPS = 1e-12
 
-# completion waves at least this large take the vectorized batch path
+# completion waves at least this large take the vectorized wave path
 _WAVE_MIN = 8
 
 
@@ -180,11 +180,10 @@ class EngineConfig:
         Optional :class:`~repro.obs.sketch.LatencyRecorder` observing
         per-issue simulated waits (``io_wait`` / ``comm_wait`` /
         ``barrier_wait``).  Unlike a trace sink it does not flip the
-        engine onto the traced scalar path — the vectorized wave and
-        batched legs keep running and feed it through the same issue
-        methods — so results are byte-identical with or without it, and
-        detached (the default) the cost is one ``is not None`` check per
-        issue.
+        engine onto the traced Python path — the native loop and the
+        vectorized wave path keep running and feed it in issue order —
+        so results are byte-identical with or without it, and detached
+        (the default) the cost is one ``is not None`` check per issue.
     """
 
     capacity: float
@@ -402,7 +401,7 @@ class Simulator:
         # sink; teeing keeps a user-provided sink observing too
         self._profiler = profiler
         # a latency recorder is deliberately NOT a trace sink: it must
-        # not force the traced scalar path or batch-ineligibility
+        # not force the traced Python path off the native loop
         self._lat = latency
         if profiler is not None:
             trace = (

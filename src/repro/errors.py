@@ -18,7 +18,6 @@ __all__ = [
     "PlatformError",
     "WorkloadError",
     "SimulationError",
-    "BatchPartitionError",
     "AttemptFailure",
     "ParallelExecutionError",
     "InjectedFault",
@@ -57,16 +56,6 @@ class WorkloadError(ConfigurationError):
 
 class SimulationError(ReproError, RuntimeError):
     """The simulation engine detected a broken invariant at run time."""
-
-
-class BatchPartitionError(SimulationError):
-    """The batched engine's shape partition lost or duplicated a cell.
-
-    Batching groups shape-compatible cells and runs the rest on the
-    scalar engine.  If a cell matched no batch *and* was not routed to
-    the scalar leg (or was routed twice), results would silently go
-    missing from the campaign report — so the partition is checked and
-    violations raise loudly instead of skipping cells."""
 
 
 @dataclass(frozen=True)

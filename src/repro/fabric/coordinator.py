@@ -78,7 +78,6 @@ def init_queue(
     *,
     shards: int = 4,
     lease_ttl: float = 30.0,
-    batch: bool = False,
     dist: bool = False,
     trace: bool = False,
     exist_ok: bool = False,
@@ -99,8 +98,7 @@ def init_queue(
     directory = Path(directory)
     campaign = campaign or Campaign()
     manifest = manifest_for_campaign(
-        campaign, shards=shards, lease_ttl=lease_ttl, batch=batch, dist=dist,
-        trace=trace,
+        campaign, shards=shards, lease_ttl=lease_ttl, dist=dist, trace=trace,
     )
     if (directory / "manifest.json").exists():
         if not exist_ok:
@@ -177,8 +175,8 @@ def merge_queue(
     the summed metrics snapshot (counters add, gauges last-wins), and —
     for a queue initialised with ``trace=True`` — the unified Chrome
     trace (``trace_out``): the winning-generation spans of every shard
-    merged under a synthesized campaign root, with lease reclaims,
-    retries, and batch fallbacks rendered as flow arrows (see
+    merged under a synthesized campaign root, with lease reclaims and
+    retries rendered as flow arrows (see
     :func:`repro.obs.trace_spans.spans_to_chrome`).
     """
     queue = ShardQueue(directory)

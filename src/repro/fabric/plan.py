@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from repro.analysis.chr import ChrRange, estimate_suitable_chr_range
@@ -126,7 +127,6 @@ def manifest_for_campaign(
     *,
     shards: int,
     lease_ttl: float,
-    batch: bool = False,
     dist: bool = False,
     trace: bool = False,
 ) -> dict:
@@ -144,6 +144,10 @@ def manifest_for_campaign(
     shards from the queue emit trace spans under it, so the merged
     campaign journal yields one causal span tree.
     """
+    if not (math.isfinite(lease_ttl) and lease_ttl > 0):
+        raise ConfigurationError(
+            f"lease_ttl must be finite and > 0, got {lease_ttl}"
+        )
     if campaign.calib != Calibration():
         raise ConfigurationError(
             "fabric campaigns support the default calibration only "
@@ -168,7 +172,6 @@ def manifest_for_campaign(
         "seed": campaign.seed,
         "include": list(campaign.include),
         "host_cpus": host_cpus,
-        "batch": bool(batch),
         "dist": bool(dist),
         "lease_ttl": float(lease_ttl),
         "cells": len(refs),

@@ -42,6 +42,7 @@ the worker's lease is requeued and its next heartbeat raises.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import time
@@ -121,9 +122,9 @@ class ShardQueue:
         self._manifest: dict | None = None
         if lease_ttl is None:
             lease_ttl = float(self.manifest().get("lease_ttl", 30.0))
-        if lease_ttl <= 0:
+        if not (math.isfinite(lease_ttl) and lease_ttl > 0):
             raise ConfigurationError(
-                f"lease_ttl must be > 0, got {lease_ttl}"
+                f"lease_ttl must be finite and > 0, got {lease_ttl}"
             )
         self.lease_ttl = float(lease_ttl)
         #: lease paths whose heartbeats a fired ``lease.stale`` muted.

@@ -30,6 +30,7 @@ can assemble the fleet-wide timeline (see
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -126,8 +127,8 @@ def run_worker(
     lease_ttl:
         Override the manifest's lease TTL (tests use sub-second TTLs).
     """
-    if poll <= 0:
-        raise ConfigurationError(f"poll must be > 0, got {poll}")
+    if not (math.isfinite(poll) and poll > 0):
+        raise ConfigurationError(f"poll must be finite and > 0, got {poll}")
     queue = ShardQueue(queue_dir, lease_ttl=lease_ttl, faults=faults)
     manifest = queue.manifest()
     campaign = campaign_from_manifest(manifest)
@@ -207,7 +208,6 @@ def run_worker(
                 checkpoint=store,
                 faults=faults,
                 progress=lambda done, total, payload: queue.heartbeat(lease),
-                batch=bool(manifest.get("batch")),
                 dist=bool(manifest.get("dist")),
                 tracer=tracer,
             )

@@ -53,8 +53,6 @@ EVENT_KINDS: frozenset[str] = frozenset(
         "shard-lost",
         "shard-reclaimed",
         "reps-allocated",
-        "batch-partition",
-        "batch-fallback",
         "checkpoint-corrupt",
         "span",
         "fault-injected",

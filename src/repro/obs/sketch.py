@@ -13,8 +13,8 @@ module promises that **merge order and worker partition never change the
 result, byte for byte**.  Centroid-based sketches (t-digest, KLL) keep
 insertion-order-dependent state — merging A⊕B and B⊕A yields different
 centroids even though both answer quantile queries within bound — which
-would make the campaign's serial / ``--jobs N`` / ``--batch`` legs
-diverge at the byte level and break the ``cmp``-based determinism gates.
+would make the campaign's serial and ``--jobs N`` legs diverge at
+the byte level and break the ``cmp``-based determinism gates.
 A DDSketch bucket map is a dict of *integer* counts keyed by
 ``ceil(log(v) / log(gamma))``: integer addition is exactly associative
 and commutative, the min/max/zero/total fields are order-invariant, and

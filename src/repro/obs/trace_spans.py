@@ -654,10 +654,9 @@ def spans_to_chrome(spans, events=()) -> dict:
     Spans become ``"X"`` complete events, one track per emitting
     worker.  The optional journal ``events`` add the causal glue as
     flow arrows (``"s"``/``"f"`` pairs): lease reclaims/steals point
-    from the losing worker's track to the winning shard span, cell
-    retries point from the failed attempt to the next one, and batch
-    fallbacks point from the abandoned group to its first scalar
-    replay.  Load the result in https://ui.perfetto.dev.
+    from the losing worker's track to the winning shard span, and cell
+    retries point from the failed attempt to the next one.  Load the
+    result in https://ui.perfetto.dev.
     """
     spans = sorted(spans, key=lambda s: (s.start, s.span_id))
     starts = [s.start for s in spans] + [e.ts for e in events]
@@ -704,9 +703,6 @@ def spans_to_chrome(spans, events=()) -> dict:
         for s in spans
         if s.kind == "shard"
     }
-    first_cell_after: list[Span] = sorted(
-        (s for s in spans if s.kind == "cell"), key=lambda s: s.start
-    )
 
     def flow(flow_id, src_ts, src_tid, dst_ts, dst_tid, name):
         out.append(
@@ -760,19 +756,6 @@ def spans_to_chrome(spans, events=()) -> dict:
                     target.start,
                     tid_for(target.worker),
                     f"retry {event.label}",
-                )
-        elif event.kind == "batch-fallback":
-            target = next(
-                (s for s in first_cell_after if s.start >= event.ts), None
-            )
-            if target is not None:
-                flow(
-                    f"fallback:{event.label}",
-                    event.ts,
-                    tid_for(event.worker),
-                    target.start,
-                    tid_for(target.worker),
-                    f"fallback {event.label}",
                 )
 
     meta = [

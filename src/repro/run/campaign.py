@@ -348,7 +348,6 @@ def run_campaign(
     checkpoint: CellStore | None = None,
     resume: bool = False,
     faults: FaultInjector | None = None,
-    batch: bool = False,
     dist: bool = False,
     reps_policy: "AdaptiveRepsPolicy | None" = None,
     trace: TraceContext | None = None,
@@ -390,11 +389,6 @@ def run_campaign(
         deterministic fault plan across the campaign's machinery
         (runner worker sites, cache/checkpoint persistence, journal
         appends).  Default: no injection, byte-identical results.
-    batch:
-        Advance shape-compatible cells together on the batched engine
-        (:mod:`repro.engine.batch`).  Bit-for-bit identical reports;
-        composes with ``jobs``, ``cache``, ``checkpoint``/``resume``
-        and ``faults`` (fault-armed cells run scalar).
     dist:
         Record simulated latency distributions for every cell of every
         experiment: mergeable quantile sketches journaled as
@@ -432,9 +426,7 @@ def run_campaign(
                 "directory can host the conventional cells/ store"
             )
         checkpoint = CellStore(cache.directory / "cells")
-    runner = runner or ParallelRunner(jobs, journal=journal, batch=batch)
-    if batch:
-        runner.batch = True
+    runner = runner or ParallelRunner(jobs, journal=journal)
     if dist:
         runner.dist = True
     if journal is not None and journal.enabled and not runner.journal.enabled:

@@ -8,10 +8,10 @@ selects the storage profile, runs the simulator, and packages a
 
 It is split into :func:`prepare_run` (everything up to a ready
 :class:`~repro.engine.simulator.Simulator`) and :func:`finish_run`
-(packaging an :class:`~repro.engine.simulator.EngineResult`) so the
-batched engine (:mod:`repro.engine.batch`) can prepare many cells,
-advance their simulators together, and package each result exactly as
-the serial path would have.
+(packaging an :class:`~repro.engine.simulator.EngineResult`), so the
+traced path can time the engine phases separately and callers can
+advance a prepared simulator themselves and still package its result
+exactly as :func:`run_once` would.
 """
 
 from __future__ import annotations
@@ -112,9 +112,9 @@ def run_cell(
 class PreparedRun:
     """One repetition, built and configured but not yet simulated.
 
-    Produced by :func:`prepare_run`; ``sim.run()`` (or a batched advance
-    of many prepared sims) yields the :class:`EngineResult` that
-    :func:`finish_run` packages into a :class:`RunResult`.
+    Produced by :func:`prepare_run`; ``sim.run()`` yields the
+    :class:`EngineResult` that :func:`finish_run` packages into a
+    :class:`RunResult`.
     """
 
     workload: Workload

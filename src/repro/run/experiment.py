@@ -85,7 +85,6 @@ def run_experiment(
     jobs: int = 1,
     runner: "ParallelRunner | None" = None,
     journal: Journal | None = None,
-    batch: bool = False,
     dist: bool = False,
 ) -> SweepResult:
     """Execute a sweep specification and return the result grid.
@@ -112,11 +111,6 @@ def run_experiment(
         inline path — the exact serial execution, plus telemetry;
         results are identical either way.  With no journal (the
         default) the serial path is left completely untouched.
-    batch:
-        Route shape-compatible cells through the batched engine
-        (:mod:`repro.engine.batch`) — bit-identical results, one
-        vectorized advance per wave instead of one scalar simulation
-        per cell.  Forces the runner path even at ``jobs=1``.
     dist:
         Record simulated latency distributions: each cell carries merged
         per-stream quantile sketches, journaled as ``cell-dist`` events
@@ -124,12 +118,10 @@ def run_experiment(
         forces the runner path even at ``jobs=1``.
     """
     journal = journal or NULL_JOURNAL
-    if runner is not None or jobs != 1 or journal.enabled or batch or dist:
+    if runner is not None or jobs != 1 or journal.enabled or dist:
         from repro.run.parallel import ParallelRunner
 
-        runner = runner or ParallelRunner(jobs, journal=journal, batch=batch)
-        if batch:
-            runner.batch = True
+        runner = runner or ParallelRunner(jobs, journal=journal)
         if dist:
             runner.dist = True
         if journal.enabled and not runner.journal.enabled:
@@ -221,7 +213,6 @@ def run_platform_sweep(
     runner: "ParallelRunner | None" = None,
     cache: "SweepCache | None" = None,
     journal: Journal | None = None,
-    batch: bool = False,
     dist: bool = False,
 ) -> SweepResult:
     """Run the standard seven-platform figure sweep.
@@ -248,8 +239,7 @@ def run_platform_sweep(
     journal = journal or NULL_JOURNAL
     if cache is None:
         return run_experiment(
-            spec, jobs=jobs, runner=runner, journal=journal, batch=batch,
-            dist=dist,
+            spec, jobs=jobs, runner=runner, journal=journal, dist=dist,
         )
 
     present = cache.contains(spec)
@@ -278,8 +268,7 @@ def run_platform_sweep(
         reporter.report_cached(tasks)
         return cached
     sweep = run_experiment(
-        spec, jobs=jobs, runner=runner, journal=journal, batch=batch,
-        dist=dist,
+        spec, jobs=jobs, runner=runner, journal=journal, dist=dist,
     )
     cache.put(spec, sweep)
     return sweep

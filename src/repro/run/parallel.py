@@ -46,6 +46,7 @@ untouched.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
@@ -53,27 +54,24 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from repro.engine.batch import run_batched
 from repro.errors import (
     AttemptFailure,
-    BatchPartitionError,
     ConfigurationError,
     InjectedCrash,
     ParallelExecutionError,
-    SimulationError,
 )
 from repro.faults import NULL_INJECTOR, FaultInjector, FaultPlan, raise_worker_fault
 from repro.hostmodel.topology import HostTopology
 from repro.obs.journal import NULL_JOURNAL, Journal
 from repro.obs.metrics import CELL_SECONDS_BUCKETS, MetricsRegistry
-from repro.obs.sketch import LatencyRecorder, merge_stream_sketches
+from repro.obs.sketch import merge_stream_sketches
 from repro.obs.trace_spans import NULL_TRACER
 from repro.platforms.base import PlatformKind
 from repro.platforms.provisioning import InstanceType
 from repro.platforms.registry import make_platform
 from repro.rng import RngFactory, StreamSpec
 from repro.run.calibration import Calibration
-from repro.run.execution import finish_run, prepare_run, run_cell
+from repro.run.execution import run_cell
 from repro.run.experiment import ExperimentSpec
 from repro.run.results import ExperimentResult, RunResult, SweepResult
 from repro.sched.affinity import ProvisioningMode
@@ -172,74 +170,6 @@ def execute_cell_dist(task: CellTask) -> list[RunResult]:
         task.workload, platform, task.host, task.calib, list(task.streams),
         dist=True,
     )
-
-
-def _task_shape_key(task: CellTask) -> tuple:
-    """Coarse pre-clustering key for batched execution.
-
-    Tasks sharing this key *probably* compile to the same program shape
-    (same workload family and core count); the exact structural
-    fingerprint is taken per prepared simulation by
-    :func:`repro.engine.batch.partition_sims`, which splits a group
-    whose cells turn out shape-incompatible — so a permissive key here
-    costs nothing but grouping granularity.
-    """
-    return (
-        type(task.workload).__name__,
-        task.workload.name,
-        task.instance.cores,
-    )
-
-
-def _group_label(tasks: Sequence[CellTask]) -> str:
-    """Journal/error label for one batched group of cell tasks."""
-    return f"batch[{len(tasks)}] {tasks[0].label}"
-
-
-def _execute_batch_group(
-    tasks: tuple[CellTask, ...], dist: bool = False
-) -> list[list[RunResult]]:
-    """Worker entry point: run a group of cells through the batched engine.
-
-    Prepares every repetition of every cell, advances all the prepared
-    simulators together (:func:`repro.engine.batch.run_batched` batches
-    the shape-compatible ones and runs the rest scalar), and packages
-    per-cell run lists — bit-for-bit identical per cell to
-    :func:`execute_cell`.  Module-level (hence picklable).  With
-    ``dist=True`` each repetition carries latency sketches, identical to
-    the scalar recording path (the batched engine issues IO / comm /
-    barrier transitions through the same scalar methods that feed the
-    recorder).
-    """
-    preps = []
-    for task in tasks:
-        platform = make_platform(task.kind, task.instance, task.mode)
-        record = dist or bool(getattr(task.workload, "always_dist", False))
-        for s in task.streams:
-            preps.append(
-                prepare_run(
-                    task.workload, platform, task.host, task.calib,
-                    rng=s.make(), rep=s.rep,
-                    latency=LatencyRecorder() if record else None,
-                )
-            )
-    engine_results = run_batched([p.sim for p in preps])
-    out: list[list[RunResult]] = []
-    k = 0
-    for task in tasks:
-        runs = []
-        for _ in task.streams:
-            runs.append(finish_run(preps[k], engine_results[k]))
-            k += 1
-        out.append(runs)
-    return out
-
-
-def _execute_batch_group_dist(
-    tasks: tuple[CellTask, ...],
-) -> list[list[RunResult]]:
-    """Picklable dist-recording twin of :func:`_execute_batch_group`."""
-    return _execute_batch_group(tasks, dist=True)
 
 
 @dataclass(frozen=True)
@@ -358,8 +288,9 @@ class ParallelRunner:
         Worker process count.  ``1`` (the default) runs every task
         inline in the calling process — the exact serial path, no pool.
     timeout:
-        Per-task wait bound in seconds once the runner starts collecting
-        that task; exceeding it raises
+        Per-task wait bound in seconds (finite, > 0; ``None`` waits
+        forever) once the runner starts collecting that task; exceeding
+        it raises
         :class:`~repro.errors.ParallelExecutionError` (reason
         ``"timeout"``) instead of hanging the campaign.
     retries:
@@ -391,14 +322,6 @@ class ParallelRunner:
         before submission — a verified hit is replayed as a
         ``cell-resumed`` cell instead of re-run, a corrupt entry is
         journaled as ``checkpoint-corrupt`` and re-run.
-    batch:
-        Run shape-compatible cell tasks through the batched engine
-        (:mod:`repro.engine.batch`) instead of one scalar simulation at
-        a time.  Per-cell results, journal events, checkpoints, and
-        progress reports are unchanged and bit-for-bit identical;
-        fault-armed tasks and tasks matching no batch run on the scalar
-        path (the partition is checked — a cell that would be silently
-        dropped raises :class:`~repro.errors.BatchPartitionError`).
     dist:
         Record per-cell simulated latency distributions: cell workers
         run with a :class:`~repro.obs.sketch.LatencyRecorder`, merged
@@ -406,14 +329,14 @@ class ParallelRunner:
         ``op`` stream feeds the metrics registry's summary metric.
         Metric values — and therefore reports — are byte-identical with
         recording on or off, and the sketches themselves are identical
-        across the inline, pool, and batched legs.
+        across the inline and pool legs.
     tracer:
         Optional :class:`~repro.obs.trace_spans.SpanTracer`; when
         attached, every cell attempt becomes a span in the campaign
         trace — the inline leg opens a frame around the attempt (so
         engine compile/advance phases and checkpoint writes nest under
-        it), the pool leg emits leaf spans from the worker shim's
-        observed timing, and batched groups emit one leaf per cell.
+        it), and the pool leg emits leaf spans from the worker shim's
+        observed timing.
         Defaults to the no-op tracer (one ``enabled`` check per cell);
         spans never feed back into results.
     """
@@ -430,7 +353,6 @@ class ParallelRunner:
         mp_context=None,
         faults: FaultInjector | None = None,
         checkpoint: "CellStore | None" = None,
-        batch: bool = False,
         dist: bool = False,
         tracer=None,
     ) -> None:
@@ -438,8 +360,12 @@ class ParallelRunner:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         if retries < 0:
             raise ConfigurationError(f"retries must be >= 0, got {retries}")
-        if timeout is not None and timeout <= 0:
-            raise ConfigurationError(f"timeout must be > 0, got {timeout}")
+        if timeout is not None and not (
+            math.isfinite(timeout) and timeout > 0
+        ):
+            raise ConfigurationError(
+                f"timeout must be finite and > 0, got {timeout}"
+            )
         self.jobs = jobs
         self.timeout = timeout
         self.retries = retries
@@ -449,7 +375,6 @@ class ParallelRunner:
         self.mp_context = mp_context
         self.faults = faults or NULL_INJECTOR
         self.checkpoint = checkpoint
-        self.batch = bool(batch)
         self.dist = bool(dist)
         self.tracer = tracer or NULL_TRACER
 
@@ -474,13 +399,10 @@ class ParallelRunner:
             # per-repetition sketches on RunResult.dist
             worker = execute_cell_dist
         store = self.checkpoint
-        batched = self.batch and worker in (execute_cell, execute_cell_dist)
         if store is None:
             if self.journal.enabled:
                 for i, payload in enumerate(items):
                     self.journal.record("cell-queued", label=_label(payload, i))
-            if batched:
-                return self._run_batched(worker, items)
             if self.jobs == 1:
                 return self._run_inline(worker, items)
             return self._run_pool(worker, items)
@@ -545,12 +467,7 @@ class ParallelRunner:
                     store.put(key, result, label=_label(payload, pending[j]))
 
         pending_items = [items[i] for i in pending]
-        if batched:
-            fresh = self._run_batched(
-                worker, pending_items,
-                total=total, done_base=done, on_result=on_result,
-            )
-        elif self.jobs == 1:
+        if self.jobs == 1:
             fresh = self._run_inline(
                 worker, pending_items,
                 total=total, done_base=done, on_result=on_result,
@@ -563,247 +480,6 @@ class ParallelRunner:
         for j, i in enumerate(pending):
             results[i] = fresh[j]
         return results
-
-    def _run_batched(
-        self,
-        worker: Callable,
-        items: Sequence,
-        *,
-        total: int | None = None,
-        done_base: int = 0,
-        on_result: Callable | None = None,
-    ) -> list:
-        """Batched twin of ``_run_inline`` / ``_run_pool`` for cell tasks.
-
-        Clusters shape-compatible :class:`CellTask` payloads into groups
-        advanced by the batched engine; everything else — non-cell
-        payloads, fault-armed tasks (pre-screened against the plan so
-        injection still fires on the scalar path, exactly once), and
-        tasks matching no group — runs on the ordinary scalar leg.
-        Groups run first so their cells checkpoint before a fault-armed
-        scalar task can abort the campaign; per-cell results, journal
-        events, and progress reports are emitted exactly as for scalar
-        cells.
-        """
-        n = len(items)
-        total = n if total is None else total
-        results: list = [None] * n
-        plan = self.faults.plan if self.faults.enabled else None
-        groups: dict[tuple, list[int]] = {}
-        scalar_idx: list[int] = []
-        for i, task in enumerate(items):
-            if not isinstance(task, CellTask) or (
-                plan is not None
-                and plan.worker_fault(_label(task, i), 1) is not None
-            ):
-                scalar_idx.append(i)
-            else:
-                groups.setdefault(_task_shape_key(task), []).append(i)
-        batches: list[list[int]] = []
-        for idxs in groups.values():
-            if len(idxs) >= 2:
-                batches.append(idxs)
-            else:
-                scalar_idx.extend(idxs)
-        scalar_idx.sort()
-        covered = sorted(i for b in batches for i in b) + scalar_idx
-        if sorted(covered) != list(range(n)):
-            raise BatchPartitionError(
-                f"batch partition covered {len(covered)} slot(s) of {n} "
-                "cell task(s); refusing to drop cells silently"
-            )
-        if self.journal.enabled:
-            self.journal.record(
-                "batch-partition",
-                label=f"{n} task(s)",
-                detail=(
-                    f"{len(batches)} batch(es) covering "
-                    f"{n - len(scalar_idx)} cell(s), "
-                    f"{len(scalar_idx)} scalar cell(s)"
-                ),
-            )
-        done = done_base
-        for group_idx, group_out in zip(
-            batches,
-            self._run_groups(
-                [tuple(items[i] for i in b) for b in batches],
-                dist=worker is execute_cell_dist,
-            ),
-        ):
-            cell_runs, wid, started, duration = group_out
-            for runs, i in zip(cell_runs, group_idx):
-                results[i] = runs
-                if on_result is not None:
-                    on_result(i, items[i], runs)
-                if self.tracer.enabled:
-                    self.tracer.emit_leaf(
-                        "cell", _label(items[i], i), start=started,
-                        duration=duration, worker=wid, attempt=1,
-                        batched=True,
-                    )
-                self._observe_completion(
-                    _label(items[i], i), runs, worker=wid, attempt=1,
-                    started=started, duration=duration,
-                )
-                done += 1
-                self._report(done, total, items[i])
-        if scalar_idx:
-            sub = [items[i] for i in scalar_idx]
-            remap = (
-                None
-                if on_result is None
-                else lambda j, payload, result: on_result(
-                    scalar_idx[j], payload, result
-                )
-            )
-            if self.jobs == 1:
-                fresh = self._run_inline(
-                    worker, sub, total=total, done_base=done, on_result=remap,
-                )
-            else:
-                fresh = self._run_pool(
-                    worker, sub, total=total, done_base=done, on_result=remap,
-                )
-            for j, i in enumerate(scalar_idx):
-                results[i] = fresh[j]
-        return results
-
-    def _fallback_group(
-        self, tasks: Sequence[CellTask], exc: Exception, *, dist: bool = False
-    ) -> list:
-        """Scalar rescue of a batched group that failed as a unit."""
-        if self.journal.enabled:
-            self.journal.record(
-                "batch-fallback", label=_group_label(tasks), detail=repr(exc)
-            )
-        cell_worker = execute_cell_dist if dist else execute_cell
-        return [cell_worker(t) for t in tasks]
-
-    def _run_groups(
-        self, payloads: list[tuple[CellTask, ...]], *, dist: bool = False
-    ) -> list[tuple[list, str, float, float]]:
-        """Execute batched groups; per group ``(cell_runs, worker,
-        started, duration)``.
-
-        With ``jobs == 1`` groups run inline (journaling ``cell-started``
-        per cell, like the inline scalar leg); otherwise each group is
-        one pool submission, collected with the same timeout /
-        broken-pool / retry discipline as scalar pool tasks.  A group
-        whose batched execution fails with a
-        :class:`~repro.errors.SimulationError` falls back *explicitly*
-        to per-cell scalar runs (journaled as ``batch-fallback``) so a
-        genuine workload error reproduces its scalar diagnostic.
-        """
-        group_worker = _execute_batch_group_dist if dist else _execute_batch_group
-        out: list[tuple[list, str, float, float]] = []
-        if self.jobs == 1:
-            wid = _worker_id()
-            for group in payloads:
-                if self.journal.enabled:
-                    started_ts = time.time()
-                    for task in group:
-                        self.journal.record(
-                            "cell-started", label=task.label, worker=wid,
-                            attempt=1, ts=started_ts,
-                        )
-                started = time.time()
-                t0 = time.perf_counter()
-                try:
-                    cell_runs = group_worker(group)
-                except (BatchPartitionError, SimulationError) as exc:
-                    cell_runs = self._fallback_group(group, exc, dist=dist)
-                out.append(
-                    (cell_runs, wid, started, time.perf_counter() - t0)
-                )
-            return out
-        n = len(payloads)
-        slots: list[tuple[list, str, float, float] | None] = [None] * n
-        attempts = [0] * n
-        executor = self._new_executor()
-        index_future: dict[int, Future] = {}
-
-        def submit(i: int) -> None:
-            attempts[i] += 1
-            index_future[i] = executor.submit(
-                _observed, group_worker, payloads[i]
-            )
-
-        try:
-            for i in range(n):
-                submit(i)
-            for i in range(n):
-                label = _group_label(payloads[i])
-                while slots[i] is None:
-                    try:
-                        value = index_future[i].result(timeout=self.timeout)
-                        slots[i] = (
-                            value.result, value.worker,
-                            value.started, value.duration,
-                        )
-                    except FutureTimeoutError:
-                        self._record_failure(
-                            label, "", attempts[i],
-                            f"timeout after {self.timeout}s", final=True,
-                        )
-                        raise ParallelExecutionError(
-                            label, attempts[i], "timeout",
-                            f"exceeded {self.timeout}s",
-                        ) from None
-                    except BrokenExecutor as exc:
-                        if attempts[i] > self.retries:
-                            self._record_failure(
-                                label, "", attempts[i], repr(exc), final=True,
-                            )
-                            raise ParallelExecutionError(
-                                label, attempts[i], "broken-pool", str(exc),
-                            ) from exc
-                        executor.shutdown(wait=False, cancel_futures=True)
-                        executor = self._new_executor()
-                        if self.journal.enabled:
-                            self.journal.record(
-                                "pool-rebuilt", label=label, detail=repr(exc)
-                            )
-                        if self.metrics is not None:
-                            self.metrics.counter(
-                                "repro_pool_rebuilds_total",
-                                "worker-pool rebuilds after breakage",
-                            ).inc()
-                        for j in range(n):
-                            if slots[j] is None:
-                                submit(j)
-                    except (ConfigurationError, InjectedCrash):
-                        raise
-                    except Exception as exc:
-                        cause, wid = (
-                            (exc.cause, exc.worker)
-                            if isinstance(exc, _ObservedFailure)
-                            else (exc, "")
-                        )
-                        if isinstance(
-                            cause, (BatchPartitionError, SimulationError)
-                        ) and not isinstance(cause, ParallelExecutionError):
-                            started = time.time()
-                            t0 = time.perf_counter()
-                            cell_runs = self._fallback_group(
-                                payloads[i], cause, dist=dist
-                            )
-                            slots[i] = (
-                                cell_runs, _worker_id(), started,
-                                time.perf_counter() - t0,
-                            )
-                            continue
-                        self._record_failure(
-                            label, wid, attempts[i], repr(cause),
-                            final=attempts[i] > self.retries,
-                        )
-                        if attempts[i] > self.retries:
-                            raise ParallelExecutionError(
-                                label, attempts[i], "exception", str(cause),
-                            ) from cause
-                        submit(i)
-            return [s for s in slots if s is not None]
-        finally:
-            executor.shutdown(wait=False, cancel_futures=True)
 
     def _run_inline(
         self,
@@ -1213,7 +889,7 @@ def _cell_dist(result):
     Returns ``{stream: QuantileSketch}`` (sorted stream names) when
     every run carries recorded distributions, else None.  The merge is
     exactly order- and partition-invariant, so the payload is identical
-    whether the cell ran inline, on a pool worker, or batched.
+    whether the cell ran inline or on a pool worker.
     """
     if not isinstance(result, list) or not result:
         return None

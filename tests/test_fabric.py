@@ -127,11 +127,35 @@ class TestPlan:
         with pytest.raises(ConfigurationError, match="calibration"):
             manifest_for_campaign(camp, shards=2, lease_ttl=5.0)
 
+    @pytest.mark.parametrize("ttl", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_manifest_rejects_bad_lease_ttl(self, ttl):
+        # NaN would serialize as invalid JSON and never expire a lease
+        with pytest.raises(ConfigurationError, match="lease_ttl"):
+            manifest_for_campaign(_camp(), shards=2, lease_ttl=ttl)
+
 
 # -- lease protocol --------------------------------------------------------
 
 
 class TestLeaseProtocol:
+    @pytest.mark.parametrize("ttl", [float("nan"), float("inf")])
+    def test_queue_rejects_non_finite_lease_ttl(self, tmp_path, ttl):
+        init_queue(tmp_path / "q", _camp(), shards=1, lease_ttl=60.0)
+        with pytest.raises(ConfigurationError, match="lease_ttl"):
+            ShardQueue(tmp_path / "q", lease_ttl=ttl)
+        # a manifest already carrying a non-finite TTL is refused too
+        path = tmp_path / "q" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        path.write_text(json.dumps({**manifest, "lease_ttl": ttl}))
+        with pytest.raises(ConfigurationError, match="lease_ttl"):
+            ShardQueue(tmp_path / "q")
+
+    @pytest.mark.parametrize("poll", [float("nan"), float("inf"), 0.0])
+    def test_worker_rejects_bad_poll(self, tmp_path, poll):
+        init_queue(tmp_path / "q", _camp(), shards=1, lease_ttl=60.0)
+        with pytest.raises(ConfigurationError, match="poll"):
+            run_worker(tmp_path / "q", "w1", poll=poll)
+
     def test_claim_is_single_winner(self, tmp_path):
         init_queue(tmp_path / "q", _camp(), shards=2, lease_ttl=60.0)
         q1 = ShardQueue(tmp_path / "q")
@@ -488,6 +512,19 @@ class TestFabricCli:
         )
         assert (tmp_path / "fabric.md").read_text() == golden_report
 
+    def test_non_finite_lease_ttl_and_poll_exit_1(self, tmp_path, capsys):
+        from repro.cli import main
+
+        q = str(tmp_path / "q")
+        init = ["fabric", "init", q, "--only", "fig8", "--reps-fast", "1"]
+        assert main([*init, "--lease-ttl", "nan"]) == 1
+        assert main([*init, "--lease-ttl", "inf"]) == 1
+        assert not (tmp_path / "q" / "manifest.json").exists()
+        assert main(init) == 0
+        work = ["fabric", "work", q, "--worker", "w1"]
+        assert main([*work, "--poll", "nan"]) == 1
+        assert "finite" in capsys.readouterr().err
+
     def test_status_renders(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -630,3 +667,44 @@ class TestFabricLoadCurve:
     def test_figure_only_manifest_has_no_loadcurve_key(self):
         manifest = manifest_for_campaign(_camp(), shards=2, lease_ttl=30.0)
         assert "loadcurve" not in manifest
+
+
+# -- artifacts written by older versions -----------------------------------
+
+
+class TestOlderArtifacts:
+    def test_batch_manifest_key_and_batch_events_still_load(
+        self, golden_report, tmp_path
+    ):
+        """Queues and journals written while the batched engine existed
+        still work: the manifest's ``"batch"`` key is ignored, and the
+        retired ``batch-partition`` / ``batch-fallback`` journal kinds
+        are counted as unknown events by the summary and skipped by the
+        Perfetto export."""
+        from repro.cli import main
+        from repro.obs import summarize_journal
+        from repro.obs.trace_spans import validate_chrome_trace
+
+        q = tmp_path / "q"
+        init_queue(q, _camp(), shards=2, lease_ttl=60.0, trace=True)
+        path = q / "manifest.json"
+        manifest = json.loads(path.read_text())
+        path.write_text(json.dumps({**manifest, "batch": True}, indent=2))
+        run_worker(q, "w1", wait=False)
+        merged = tmp_path / "merged.jsonl"
+        result, _ = merge_queue(q, journal_out=merged)
+        assert generate_report(result) == golden_report
+
+        old = json.loads(merged.read_text().splitlines()[0])
+        with merged.open("a") as fh:
+            for kind in ("batch-partition", "batch-fallback"):
+                fh.write(json.dumps({**old, "kind": kind}) + "\n")
+        summary = summarize_journal(read_journal(merged))
+        assert summary.unknown_events == {
+            "batch-fallback": 1, "batch-partition": 1,
+        }
+        out = tmp_path / "trace.json"
+        args = ["obs", "spans", str(merged), "--format", "chrome"]
+        assert main([*args, "--out", str(out)]) == 0
+        validate_chrome_trace(json.loads(out.read_text()))
+        assert main(["obs", "summary", str(merged)]) == 0

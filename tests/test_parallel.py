@@ -12,8 +12,11 @@ from __future__ import annotations
 import json
 import os
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     FfmpegWorkload,
@@ -22,9 +25,18 @@ from repro import (
     run_experiment,
     run_platform_sweep,
 )
-from repro.errors import ConfigurationError, ParallelExecutionError
+from repro.analysis.report import generate_report
+from repro.errors import (
+    ConfigurationError,
+    InjectedFault,
+    ParallelExecutionError,
+)
+from repro.faults import FaultInjector, FaultPlan
+from repro.hostmodel.topology import r830_host
+from repro.obs.journal import MemoryJournal
 from repro.platforms.base import PlatformKind
-from repro.rng import StreamSpec
+from repro.rng import RngFactory, StreamSpec
+from repro.run.calibration import Calibration
 from repro.run.campaign import Campaign, run_campaign
 from repro.errors import AttemptFailure
 from repro.run.experiment import ExperimentSpec, platform_sweep_spec
@@ -38,6 +50,9 @@ from repro.run.parallel import (
 )
 from repro.run.persistence import SweepCache
 from repro.sched.affinity import ProvisioningMode
+from repro.workloads.openloop import OpenLoopCassandra, OpenLoopWordPress
+
+GOLDEN_FIG3 = Path(__file__).parent / "golden" / "campaign_fig3.json"
 
 
 def tiny_spec(seed=1, reps=2, instances=("Large", "xLarge")) -> ExperimentSpec:
@@ -149,8 +164,6 @@ class TestSerialParallelEquivalence:
         )
 
     def test_stream_spec_equals_factory_stream(self):
-        from repro.rng import RngFactory
-
         factory = RngFactory(seed=123)
         spec = factory.stream_spec("x/y", rep=5)
         assert spec == StreamSpec(seed=123, label="x/y", rep=5)
@@ -167,12 +180,9 @@ class TestLargeNGolden:
 
         Exact float equality on purpose: the compiled-table/calendar hot
         path guarantees IEEE-identical results, and this is the case
-        that exercises the batched wave advance hardest.
+        that exercises the vectorized wave advance hardest.
         """
-        from pathlib import Path
-
-        from repro import make_platform, r830_host, run_once
-        from repro.rng import RngFactory
+        from repro import make_platform, run_once
 
         golden = json.loads(
             (Path(__file__).parent / "golden" / "engine_large_n.json")
@@ -283,6 +293,13 @@ class TestRunnerConfig:
         with pytest.raises(ConfigurationError):
             ParallelRunner(2, timeout=0)
 
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf")])
+    def test_non_finite_timeout_rejected(self, timeout):
+        # nan would time every pool task out at once; inf overflows
+        # Future.result's deadline
+        with pytest.raises(ConfigurationError, match="finite"):
+            ParallelRunner(2, timeout=timeout)
+
     def test_default_jobs_positive(self):
         assert default_jobs() >= 1
 
@@ -356,3 +373,162 @@ class TestCacheIntegration:
         run_platform_sweep(wl, insts, reps=1, seed=3, cache=cache)
         run_platform_sweep(wl, insts, reps=1, seed=3, jobs=2, cache=cache)
         assert len(list(tmp_path.glob("sweep-*.json"))) == 1
+
+
+def _fig3_campaign() -> Campaign:
+    return Campaign(reps_fast=1, include=("fig3",))
+
+
+def _fig3_golden() -> str:
+    return json.loads(GOLDEN_FIG3.read_text())["report"]
+
+
+class TestCampaignGolden:
+    """The pinned fig3 report (``tests/golden/campaign_fig3.json``) gates
+    the serial, pool and crash-then-resume campaign paths byte for byte.
+
+    Regenerate only after an intentional engine-semantics change::
+
+        PYTHONPATH=src python - <<'EOF'
+        import json, pathlib
+        from repro import Campaign, run_campaign
+        from repro.analysis.report import generate_report
+        p = pathlib.Path("tests/golden/campaign_fig3.json")
+        d = json.loads(p.read_text())
+        d["report"] = generate_report(
+            run_campaign(Campaign(reps_fast=1, include=("fig3",)))
+        )
+        p.write_text(json.dumps(d, indent=2) + "\\n")
+        EOF
+    """
+
+    def test_scalar_engine_matches_golden(self):
+        result = run_campaign(_fig3_campaign())
+        assert generate_report(result) == _fig3_golden()
+
+    def test_pool_matches_golden(self):
+        result = run_campaign(_fig3_campaign(), jobs=2)
+        assert generate_report(result) == _fig3_golden()
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_resume_matches_golden(self, seed, tmp_path):
+        cache = SweepCache(tmp_path / "cache")
+        inj = FaultInjector(FaultPlan.random(seed, abort=True))
+        try:
+            run_campaign(_fig3_campaign(), cache=cache, resume=True, faults=inj)
+        except (InjectedFault, ParallelExecutionError):
+            pass  # the scheduled crash
+        result = run_campaign(_fig3_campaign(), cache=cache, resume=True)
+        assert generate_report(result) == _fig3_golden()
+
+
+# Platform/mode combos cycled over the generated open-loop cells.
+COMBOS = (("BM", "vanilla"), ("CN", "pinned"), ("VM", "vanilla"))
+
+
+def _mk_tasks(workloads, *, instance="xLarge", reps=2, seed=7):
+    """One CellTask per workload over the cycled platform combos."""
+    factory = RngFactory(seed)
+    inst = instance_type(instance)
+    tasks = []
+    for i, wl in enumerate(workloads):
+        kind, mode = COMBOS[i % len(COMBOS)]
+        streams = tuple(
+            factory.stream_spec(f"ol/{i}", rep=k) for k in range(reps)
+        )
+        tasks.append(
+            CellTask(
+                workload=wl, kind=PlatformKind(kind),
+                mode=ProvisioningMode(mode), instance=inst,
+                host=r830_host(), calib=Calibration(), streams=streams,
+            )
+        )
+    return tasks
+
+
+def _runs_json(cells):
+    """Canonical per-run serialization (counters included, NaN-safe)."""
+    return [
+        [
+            json.dumps(
+                {**rr.to_dict(), "counters": rr.counters.to_dict()},
+                sort_keys=True,
+            )
+            for rr in runs
+        ]
+        for runs in cells
+    ]
+
+
+OL_PARAMS = st.fixed_dictionaries(
+    {
+        "workload": st.sampled_from(["wordpress", "cassandra"]),
+        "arrivals": st.sampled_from(["poisson", "bursty", "diurnal"]),
+        "rate": st.sampled_from([60.0, 240.0]),
+        "n_requests": st.integers(4, 20),
+    }
+)
+
+
+def _mk_open_loop(p):
+    cls = OpenLoopWordPress if p["workload"] == "wordpress" else OpenLoopCassandra
+    return cls(rate=p["rate"], n_requests=p["n_requests"], arrivals=p["arrivals"])
+
+
+class TestOpenLoopPool:
+    """Open-loop cells are bit-identical inline and on a worker pool.
+
+    The request-per-arrival workloads record latency sketches
+    unconditionally (``always_dist``), so ``_runs_json`` — which
+    serializes ``RunResult.dist`` — covers the sketch payloads too; the
+    journal check additionally pins the ``cell-dist`` event bytes that
+    ``repro obs dist`` consumes.
+    """
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.lists(OL_PARAMS, min_size=2, max_size=4), st.integers(0, 2**16))
+    def test_pool_bit_identical(self, params, seed):
+        tasks = _mk_tasks([_mk_open_loop(p) for p in params], seed=seed % 1000)
+        serial = ParallelRunner(1).run_tasks(execute_cell, tasks)
+        assert all(
+            "op" in rr.dist for runs in serial for rr in runs
+        ), "open-loop cells must record latency sketches unconditionally"
+        pool = ParallelRunner(2).run_tasks(execute_cell, tasks)
+        assert _runs_json(pool) == _runs_json(serial)
+
+    def test_cell_dist_payloads_identical_across_legs(self):
+        workloads = [
+            OpenLoopWordPress(rate=120.0, n_requests=12),
+            OpenLoopWordPress(rate=120.0, n_requests=12),
+            OpenLoopCassandra(rate=90.0, n_requests=10, arrivals="bursty"),
+        ]
+        payloads = []
+        for jobs in (1, 2):
+            jl = MemoryJournal()
+            ParallelRunner(jobs, journal=jl).run_tasks(
+                execute_cell, _mk_tasks(workloads, seed=17)
+            )
+            payloads.append({
+                e.label: json.dumps(e.extra["streams"], sort_keys=True)
+                for e in jl.events
+                if e.kind == "cell-dist"
+            })
+        assert len(payloads[0]) == len(workloads)
+        assert payloads[0] == payloads[1]
+
+    def test_mixed_open_and_closed_corpus(self):
+        """Arrival-process cells ride in a campaign next to closed-loop
+        synthetic cells without perturbing either leg's bytes."""
+        workloads = [
+            SyntheticWorkload(threads_per_process=2, phases=3),
+            OpenLoopWordPress(rate=150.0, n_requests=10, arrivals="diurnal"),
+            SyntheticWorkload(threads_per_process=2, phases=3),
+            OpenLoopCassandra(rate=80.0, n_requests=8),
+        ]
+        tasks = _mk_tasks(workloads, instance="Large", seed=23)
+        serial = ParallelRunner(1).run_tasks(execute_cell, tasks)
+        pool = ParallelRunner(2).run_tasks(execute_cell, tasks)
+        assert _runs_json(pool) == _runs_json(serial)
+        # closed-loop cells keep their no-sketch default
+        assert serial[0][0].dist is None or "op" not in serial[0][0].dist
+        assert "op" in serial[1][0].dist

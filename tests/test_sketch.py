@@ -1,7 +1,7 @@
 """Tests for :mod:`repro.obs.sketch` — the streaming tail-latency layer.
 
 The load-bearing guarantee is *determinism under distribution*: however
-the observation stream is split across workers, batch groups, and merge
+the observation stream is split across workers, shards, and merge
 orders, the merged sketch must be byte-for-byte identical to the
 single-stream fold, and its quantiles must respect the advertised
 relative-error bound.  Hypothesis drives the partition/merge properties;
@@ -234,7 +234,7 @@ class TestLatencyRecorder:
 
 
 class TestEndToEndDeterminism:
-    """Serial, worker-pool, and batched execution must hand the journal
+    """Serial and worker-pool execution must hand the journal
     byte-identical sketch payloads, and recording must not perturb the
     measured results."""
 
@@ -274,11 +274,10 @@ class TestEndToEndDeterminism:
         assert payloads, "no cell-dist events journaled"
         return sweep, payloads
 
-    def test_serial_pool_batch_byte_identical(self):
+    def test_serial_pool_byte_identical(self):
         _, serial = self._dist_payloads()
         _, pooled = self._dist_payloads(jobs=2)
-        _, batched = self._dist_payloads(batch=True)
-        assert serial == pooled == batched
+        assert serial == pooled
 
     def test_results_identical_with_recording_off(self):
         from repro.run.experiment import run_experiment
