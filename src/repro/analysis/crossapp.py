@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from repro.analysis.chr import ChrRange, estimate_suitable_chr_range
 from repro.analysis.overhead import (
@@ -119,7 +118,10 @@ class CrossApplicationAnalysis:
             raise AnalysisError("correlation needs at least two applications")
         ios = [self.io_intensity[a] for a in apps]
         psos = [self.pso_magnitude(a, platform_label) for a in apps]
-        rho, _ = _scipy_stats.spearmanr(ios, psos)
+        # imported here: no campaign path needs scipy.stats
+        from scipy.stats import spearmanr
+
+        rho, _ = spearmanr(ios, psos)
         return PsoCorrelation(
             io_intensities=tuple(ios),
             pso_magnitudes=tuple(psos),

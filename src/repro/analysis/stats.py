@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy.special import stdtrit
 
 from repro.errors import AnalysisError
 
@@ -80,7 +80,9 @@ def confidence_interval(
     sem = float(arr.std(ddof=1)) / np.sqrt(arr.size)
     if sem == 0.0:
         return (mean, mean)
-    t = float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, df=arr.size - 1))
+    # Student-t quantile; scipy.stats.t.ppf evaluates exactly this, but
+    # importing scipy.stats would add ~0.8 s and ~45 MB to `import repro`
+    t = float(stdtrit(arr.size - 1, 0.5 + confidence / 2.0))
     return (mean - t * sem, mean + t * sem)
 
 

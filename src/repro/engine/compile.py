@@ -1,11 +1,9 @@
 """Program compiler: columnar segment tables for the engine hot path.
 
-The simulator's inner loop used to re-discover each segment at every
-transition — ``isinstance`` dispatch, attribute loads, and per-event
-platform-penalty calls.  All of that is a pure function of the thread
-programs and the deployment's overhead constants, so it can be evaluated
-once, up front.  :func:`compile_programs` flattens every thread's segment
-list into one set of columnar numpy tables indexed by
+Everything the engine needs to know about a segment is a pure function
+of the thread programs and the deployment's overhead constants, so it is
+evaluated once, up front.  :func:`compile_programs` flattens every
+thread's segment list into one set of columnar numpy tables indexed by
 ``seg_base[tid] + seg_ptr``:
 
 * ``kind`` — segment kind code (:data:`KIND_COMPUTE` … :data:`KIND_BARRIER`);
@@ -21,10 +19,20 @@ list into one set of columnar numpy tables indexed by
 * mark columns — a boolean mask plus submission times for marked
   operations, replacing per-thread dict lookups.
 
-Every precomputed value is produced by evaluating *exactly the same
-floating-point expression* the interpreted engine evaluated per event,
-on the same operands, so compiled runs are bit-for-bit identical to the
-historical per-segment dispatch.
+The compile is column-wise.  One pass over the flattened segments maps
+each row to its kind code; then, kind by kind, the rows' attributes are
+gathered into lists and every column is computed with numpy over those
+rows at once.  Each element is the IEEE result of the expression a
+per-row compile evaluates, on the same operands in the same order
+(``scale = io_factor[g] * thrash[g]``, ``fixed = irqs * irq_latency[g]``,
+network IO ``device * scale + fixed``, ...): numpy's elementwise
+arithmetic is the same double-precision arithmetic as the scalar
+expression, so the tables are bit-for-bit those of the per-row compile
+that ``tests/test_build_compile_oracle.py`` keeps as the reference.
+Platform compute penalties are evaluated once per distinct
+``(group, mem_intensity, kernel_share)`` and remote transfers once per
+remote row.  Barrier keys are interned in first-appearance order, which
+fixes ``bar_keys`` and the insertion order of ``barrier_participants``.
 
 Python-list mirrors of the hot columns (``kind_l``, ``work_l``, ...) are
 built on first access: the Python advance path reads single elements,
@@ -36,6 +44,7 @@ reads the numpy columns directly, so its runs never build them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -64,11 +73,6 @@ KIND_COMPUTE = 0
 KIND_IO = 1
 KIND_COMM = 2
 KIND_BARRIER = 3
-
-
-def _barrier_key(pidx: int, seg: BarrierSegment) -> tuple[int, int]:
-    """Rendezvous key: global barriers share one namespace (-1)."""
-    return (-1 if seg.scope == "global" else pidx, seg.barrier_id)
 
 
 @dataclass
@@ -152,19 +156,113 @@ def compile_programs(
     """Flatten thread programs into :class:`CompiledPrograms`.
 
     The per-group overhead scalars are taken as arguments (rather than
-    recomputed) so the compiled values multiply exactly the operands the
-    interpreted engine multiplied.
+    recomputed) so the compiled values multiply exactly the operands a
+    per-event evaluation multiplies.
     """
     n = len(programs)
+    counts = np.fromiter(map(len, programs), dtype=np.int64, count=n)
     seg_base = np.zeros(n + 1, dtype=np.int64)
-    for tid, prog in enumerate(programs):
-        seg_base[tid + 1] = seg_base[tid] + len(prog)
+    np.cumsum(counts, out=seg_base[1:])
     total = int(seg_base[n])
+    segs = np.fromiter(chain.from_iterable(programs), dtype=object, count=total)
+    kind = np.fromiter(
+        map(_KIND_OF.__getitem__, map(type, segs)), dtype=np.int8, count=total
+    )
+    # owning thread's group of every row
+    group = np.repeat(np.asarray(group_of, dtype=np.int64), counts)
 
-    kind = np.zeros(total, dtype=np.int8)
+    # one kind at a time, each allocating its own columns: the peak is
+    # then the finished columns plus one kind's temporaries
+    rows = np.flatnonzero(kind == KIND_COMPUTE)
+    work, mem, pp = _compute_columns(total, rows, segs[rows], group[rows], deployments)
+    rows = np.flatnonzero(kind == KIND_BARRIER)
+    pidx = np.repeat(np.asarray(proc_of, dtype=np.int64), counts)[rows]
+    bar_key, bar_keys, participants = _barrier_columns(
+        total, rows, segs[rows], pidx
+    )
+    rows = np.flatnonzero(kind == KIND_IO)
+    io = _io_columns(
+        total, rows, segs[rows], group[rows], storage.write_penalty,
+        g_io_factor * g_thrash, g_irq_latency, g_wake_extra, g_p_wake,
+    )
+    rows = np.flatnonzero(kind == KIND_COMM)
+    comm_dur = _comm_columns(
+        total, rows, segs[rows], group[rows], network, g_comm_factor,
+        g_net_factor,
+    )
+    del segs
+    mark_mask, mark_submit = _mark_columns(total, seg_base, op_marks)
+
+    return CompiledPrograms(
+        n_threads=n,
+        n_segments=total,
+        seg_base=seg_base,
+        seg_count=counts,
+        kind=kind,
+        work=work,
+        mem=mem,
+        pp=pp,
+        **io,
+        comm_dur=comm_dur,
+        bar_key=bar_key,
+        bar_keys=bar_keys,
+        mark_mask=mark_mask,
+        mark_submit=mark_submit,
+        barrier_participants=participants,
+    )
+
+
+def _compute_columns(
+    total: int,
+    rows: np.ndarray,
+    sel: np.ndarray,
+    group: np.ndarray,
+    deployments: list,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``work``, ``mem`` and the platform penalty ``pp``.
+
+    The penalty is pure in ``(group, mem_intensity, kernel_share)``, so
+    it is evaluated once per distinct triple, on the attribute values of
+    the triple's first row (``np.unique``'s ``return_index`` is the first
+    occurrence), exactly as a per-row memo would.
+    """
     work = np.zeros(total)
     mem = np.zeros(total)
     pp = np.zeros(total)
+    work[rows] = [s.work for s in sel]
+    mem[rows] = [s.mem_intensity for s in sel]
+    pair = np.empty(len(sel), dtype=np.complex128)  # (mem, kernel) as one key
+    pair.real = mem[rows]
+    pair.imag = [s.kernel_share for s in sel]
+    for g in np.unique(group).tolist():
+        in_g = np.flatnonzero(group == g)
+        _, first, inverse = np.unique(
+            pair[in_g], return_index=True, return_inverse=True
+        )
+        overhead = deployments[g].overhead
+        values = [
+            overhead.platform.compute_penalty(
+                overhead.calib, seg.mem_intensity, seg.kernel_share
+            )
+            for seg in sel[in_g[first]]
+        ]
+        pp[rows[in_g]] = np.array(values, dtype=np.float64)[inverse]
+    return work, mem, pp
+
+
+def _io_columns(
+    total: int,
+    rows: np.ndarray,
+    sel: np.ndarray,
+    group: np.ndarray,
+    write_penalty: float,
+    g_scale: np.ndarray,
+    g_irq_latency: np.ndarray,
+    g_wake_extra: np.ndarray,
+    g_p_wake: np.ndarray,
+) -> dict[str, np.ndarray]:
+    """The ``io_*`` columns: the per-issue IO terms, with
+    ``g_scale = io_factor * thrash`` per group."""
     io_disk = np.zeros(total, dtype=bool)
     io_base = np.zeros(total)
     io_raw = np.zeros(total)
@@ -175,105 +273,26 @@ def compile_programs(
     io_irqs = np.zeros(total, dtype=np.int64)
     io_extra = np.zeros(total)
     io_wakemig = np.zeros(total)
-    comm_dur = np.zeros(total)
-    bar_key = np.full(total, -1, dtype=np.int32)
-    mark_mask = np.zeros(total, dtype=bool)
-    mark_submit = np.zeros(total)
-
-    bar_keys: list[tuple[int, int]] = []
-    bar_index: dict[tuple[int, int], int] = {}
-    barrier_participants: dict[tuple[int, int], int] = {}
-    # platform penalties are pure in (group, mem_intensity, kernel_share);
-    # memoise so 1000 identical request programs compile in O(1) lookups
-    pp_cache: dict[tuple[int, float, float], float] = {}
-    write_penalty = storage.write_penalty
-
-    for tid, prog in enumerate(programs):
-        g = group_of[tid]
-        pidx = proc_of[tid]
-        dep = deployments[g]
-        platform = dep.overhead.platform
-        calib = dep.overhead.calib
-        base = int(seg_base[tid])
-        marks = op_marks.get(tid)
-        if marks:
-            for seg_index, submitted in marks.items():
-                if 0 <= seg_index < len(prog):
-                    mark_mask[base + seg_index] = True
-                    mark_submit[base + seg_index] = submitted
-        for p, seg in enumerate(prog):
-            row = base + p
-            if isinstance(seg, ComputeSegment):
-                kind[row] = KIND_COMPUTE
-                work[row] = seg.work
-                mem[row] = seg.mem_intensity
-                key = (g, seg.mem_intensity, seg.kernel_share)
-                penalty = pp_cache.get(key)
-                if penalty is None:
-                    penalty = platform.compute_penalty(
-                        calib, seg.mem_intensity, seg.kernel_share
-                    )
-                    pp_cache[key] = penalty
-                pp[row] = penalty
-            elif isinstance(seg, IoSegment):
-                kind[row] = KIND_IO
-                disk = seg.kind is IrqKind.DISK
-                io_disk[row] = disk
-                # same products the interpreter evaluated per issue
-                scale = g_io_factor[g] * g_thrash[g]
-                fixed = seg.irqs * g_irq_latency[g]
-                io_scale[row] = scale
-                io_fixed[row] = fixed
-                io_irqs[row] = seg.irqs
-                io_extra[row] = seg.irqs * g_wake_extra[g]
-                io_wakemig[row] = seg.irqs * g_p_wake[g]
-                if disk:
-                    io_base[row] = seg.device_time * (
-                        write_penalty if seg.is_write else 1.0
-                    )
-                    io_raw[row] = seg.device_time
-                    io_write[row] = seg.is_write
-                else:
-                    device = seg.device_time
-                    device *= scale
-                    io_net_dur[row] = device + fixed
-            elif isinstance(seg, CommSegment):
-                kind[row] = KIND_COMM
-                if seg.remote:
-                    comm_dur[row] = (
-                        seg.base_latency * g_net_factor[g]
-                        + seg.cpu_work
-                        + network.transfer_time(
-                            seg.message_bytes,
-                            stack_factor=g_net_factor[g],
-                        )
-                    )
-                else:
-                    comm_dur[row] = (
-                        seg.base_latency * g_comm_factor[g] + seg.cpu_work
-                    )
-            else:  # BarrierSegment
-                kind[row] = KIND_BARRIER
-                key = _barrier_key(pidx, seg)
-                idx = bar_index.get(key)
-                if idx is None:
-                    idx = len(bar_keys)
-                    bar_index[key] = idx
-                    bar_keys.append(key)
-                bar_key[row] = idx
-                barrier_participants[key] = (
-                    barrier_participants.get(key, 0) + 1
-                )
-
-    return CompiledPrograms(
-        n_threads=n,
-        n_segments=total,
-        seg_base=seg_base,
-        seg_count=np.diff(seg_base),
-        kind=kind,
-        work=work,
-        mem=mem,
-        pp=pp,
+    device = np.array([s.device_time for s in sel], dtype=np.float64)
+    # float, like the scalar products; the io_irqs store truncates
+    irqs = np.array([s.irqs for s in sel], dtype=np.float64)
+    disk = np.array([s.kind is IrqKind.DISK for s in sel], dtype=bool)
+    write = np.array([bool(s.is_write) for s in sel], dtype=bool)
+    scale = g_scale[group]
+    fixed = irqs * g_irq_latency[group]
+    io_disk[rows] = disk
+    io_scale[rows] = scale
+    io_fixed[rows] = fixed
+    io_irqs[rows] = irqs
+    io_extra[rows] = irqs * g_wake_extra[group]
+    io_wakemig[rows] = irqs * g_p_wake[group]
+    d = rows[disk]
+    io_base[d] = device[disk] * np.where(write[disk], write_penalty, 1.0)
+    io_raw[d] = device[disk]
+    io_write[d] = write[disk]
+    net = ~disk
+    io_net_dur[rows[net]] = device[net] * scale[net] + fixed[net]
+    return dict(
         io_disk=io_disk,
         io_base=io_base,
         io_raw=io_raw,
@@ -284,10 +303,119 @@ def compile_programs(
         io_irqs=io_irqs,
         io_extra=io_extra,
         io_wakemig=io_wakemig,
-        comm_dur=comm_dur,
-        bar_key=bar_key,
-        bar_keys=bar_keys,
-        mark_mask=mark_mask,
-        mark_submit=mark_submit,
-        barrier_participants=barrier_participants,
     )
+
+
+def _comm_columns(
+    total: int,
+    rows: np.ndarray,
+    sel: np.ndarray,
+    group: np.ndarray,
+    network: NetworkModel,
+    g_comm_factor: np.ndarray,
+    g_net_factor: np.ndarray,
+) -> np.ndarray:
+    """``comm_dur``: local exchanges through the platform's comm path,
+    remote ones through its network stack plus the message transfer."""
+    comm_dur = np.zeros(total)
+    latency = np.array([s.base_latency for s in sel], dtype=np.float64)
+    cpu = np.array([s.cpu_work for s in sel], dtype=np.float64)
+    remote = np.array([bool(s.remote) for s in sel], dtype=bool)
+    local = ~remote
+    comm_dur[rows[local]] = (
+        latency[local] * g_comm_factor[group[local]] + cpu[local]
+    )
+    factor = g_net_factor[group[remote]]
+    transfer = [
+        network.transfer_time(seg.message_bytes, stack_factor=f)
+        for seg, f in zip(sel[remote], factor)
+    ]
+    comm_dur[rows[remote]] = (latency[remote] * factor + cpu[remote]) + np.array(
+        transfer, dtype=np.float64
+    )
+    return comm_dur
+
+
+def _barrier_columns(
+    total: int, rows: np.ndarray, sel: np.ndarray, pidx: np.ndarray
+) -> tuple[np.ndarray, list[tuple[int, int]], dict[tuple[int, int], int]]:
+    """``bar_key``, ``bar_keys`` and the participant count of each key.
+
+    A rendezvous key is ``(namespace, barrier_id)``: global barriers
+    share namespace -1, the others meet per process ``pidx``.  Keys are
+    interned in first-appearance order.  Builders share one frozen
+    barrier object among many threads, so the attributes are read, and
+    equal ids interned, once per distinct object; no Python code runs
+    per row.
+    """
+    bar_key = np.full(total, -1, dtype=np.int32)
+    _, first, obj = np.unique(
+        np.fromiter(map(id, sel), dtype=np.uint64, count=len(sel)),
+        return_index=True,
+        return_inverse=True,
+    )
+    id_code: dict = {}
+    codes = []
+    scopes = []
+    for seg in sel[first]:
+        codes.append(id_code.setdefault(seg.barrier_id, len(id_code)))
+        scopes.append(seg.scope == "global")
+    namespace = np.where(np.array(scopes, dtype=bool)[obj], -1, pidx)
+    key = (namespace + 1) * len(id_code) + np.array(codes, dtype=np.int64)[obj]
+    _, first, inverse, count = np.unique(
+        key, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    bar_key[rows] = rank[inverse]
+    first = first[order]
+    keys = [
+        (ns, seg.barrier_id)
+        for ns, seg in zip(namespace[first].tolist(), sel[first])
+    ]
+    return bar_key, keys, dict(zip(keys, count[order].tolist()))
+
+
+def _mark_columns(
+    total: int, seg_base: np.ndarray, op_marks: dict[int, dict[int, float]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``mark_mask`` and ``mark_submit``; out-of-range marks are ignored."""
+    mark_mask = np.zeros(total, dtype=bool)
+    mark_submit = np.zeros(total)
+    rows: list[int] = []
+    submitted: list[float] = []
+    bases = seg_base.tolist()
+    for tid, marks in op_marks.items():
+        if not 0 <= tid < len(bases) - 1:
+            continue
+        base = bases[tid]
+        count = bases[tid + 1] - base
+        for seg_index, at in marks.items():
+            if 0 <= seg_index < count:
+                rows.append(base + seg_index)
+                submitted.append(at)
+    mark_mask[rows] = True
+    mark_submit[rows] = submitted
+    return mark_mask, mark_submit
+
+
+class _KindCodes(dict):
+    """Segment type -> kind code.  A type not listed resolves like an
+    ``isinstance`` chain; anything else compiles as a barrier."""
+
+    def __missing__(self, cls: type) -> int:
+        for base, code in self.items():
+            if issubclass(cls, base):
+                return code
+        return KIND_BARRIER
+
+
+_KIND_OF = _KindCodes(
+    {
+        ComputeSegment: KIND_COMPUTE,
+        IoSegment: KIND_IO,
+        CommSegment: KIND_COMM,
+        BarrierSegment: KIND_BARRIER,
+    }
+)

@@ -17,6 +17,7 @@ models consume — mirroring how the paper reasons about "CPU-bound" versus
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +31,31 @@ from repro.workloads.segments import (
     validate_program,
 )
 
-__all__ = ["OpMark", "ThreadSpec", "ProcessSpec", "WorkloadProfile", "Workload"]
+__all__ = [
+    "OpMark",
+    "ThreadSpec",
+    "ProcessSpec",
+    "WorkloadProfile",
+    "Workload",
+    "jittered",
+]
+
+
+def jittered(
+    base: np.ndarray, sigma: float, rng: np.random.Generator
+) -> list:
+    """``base * exp(N(0, sigma))`` elementwise, as nested Python floats.
+
+    All draws come from one vectorized call, consumed in ``base``'s
+    row-major order.  ``Generator.normal(size=N)`` yields the same values,
+    and leaves the same generator state, as N sequential scalar draws, and
+    ``np.exp`` and the product are elementwise IEEE operations, so the
+    result is bit-identical to drawing one scalar jitter per element in
+    that order.  ``sigma == 0`` draws nothing and returns ``base``.
+    """
+    if sigma == 0:
+        return base.tolist()
+    return (base * np.exp(rng.normal(0.0, sigma, size=base.shape))).tolist()
 
 
 @dataclass(frozen=True)
@@ -47,11 +72,12 @@ class OpMark:
     submitted_at: float
 
     def __post_init__(self) -> None:
-        if self.seg_index < 0:
+        # negated range checks also reject NaN
+        if not 0 <= self.seg_index < math.inf:
             raise WorkloadError(f"seg_index must be >= 0, got {self.seg_index}")
-        if self.submitted_at < 0:
+        if not 0.0 <= self.submitted_at < math.inf:
             raise WorkloadError(
-                f"submitted_at must be >= 0, got {self.submitted_at}"
+                f"submitted_at must be finite and >= 0, got {self.submitted_at}"
             )
 
 
@@ -79,13 +105,14 @@ class ThreadSpec:
 
     def __post_init__(self) -> None:
         validate_program(self.program)
-        if self.arrival_time < 0:
+        if not 0.0 <= self.arrival_time < math.inf:
             raise WorkloadError(
-                f"arrival_time must be >= 0, got {self.arrival_time}"
+                f"arrival_time must be finite and >= 0, got {self.arrival_time}"
             )
-        if self.working_set_bytes < 0:
+        if not 0.0 <= self.working_set_bytes < math.inf:
             raise WorkloadError(
-                f"working_set_bytes must be >= 0, got {self.working_set_bytes}"
+                "working_set_bytes must be finite and >= 0, "
+                f"got {self.working_set_bytes}"
             )
         for mark in self.op_marks:
             if mark.seg_index >= len(self.program):
@@ -133,10 +160,12 @@ class ProcessSpec:
     def __post_init__(self) -> None:
         if not self.threads:
             raise WorkloadError(f"process {self.name!r} must have >= 1 thread")
-        if self.memory_demand_bytes < 0:
-            raise WorkloadError("memory_demand_bytes must be >= 0")
-        if self.weight <= 0:
-            raise WorkloadError(f"weight must be > 0, got {self.weight}")
+        if not 0.0 <= self.memory_demand_bytes < math.inf:
+            raise WorkloadError("memory_demand_bytes must be finite and >= 0")
+        if not 0.0 < self.weight < math.inf:
+            raise WorkloadError(
+                f"weight must be finite and > 0, got {self.weight}"
+            )
 
     @property
     def n_threads(self) -> int:

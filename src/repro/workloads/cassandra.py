@@ -33,6 +33,7 @@ HDDs).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,24 +94,24 @@ class CassandraWorkload(Workload):
     metric = "mean_response"
 
     def __post_init__(self) -> None:
-        if self.n_operations < 1:
+        if not 1 <= self.n_operations < math.inf:
             raise WorkloadError("n_operations must be >= 1")
-        if self.n_threads < 1:
+        if not 1 <= self.n_threads < math.inf:
             raise WorkloadError("n_threads must be >= 1")
         if not 0.0 <= self.write_fraction <= 1.0:
             raise WorkloadError("write_fraction must be in [0, 1]")
-        if self.submission_window < 0:
-            raise WorkloadError("submission_window must be >= 0")
+        if not 0.0 <= self.submission_window < math.inf:
+            raise WorkloadError("submission_window must be finite and >= 0")
         for attr in (
             "read_cpu_work",
             "write_cpu_work",
             "read_io_time",
             "write_io_time",
         ):
-            if getattr(self, attr) <= 0:
-                raise WorkloadError(f"{attr} must be > 0")
-        if self.jitter_sigma < 0:
-            raise WorkloadError("jitter_sigma must be >= 0")
+            if not 0.0 < getattr(self, attr) < math.inf:
+                raise WorkloadError(f"{attr} must be finite and > 0")
+        if not 0.0 <= self.jitter_sigma < math.inf:
+            raise WorkloadError("jitter_sigma must be finite and >= 0")
 
     def storage_model(self) -> StorageModel:
         """Cassandra's disk profile: random, cache-missing IO on RAID1 HDDs
@@ -134,6 +135,9 @@ class CassandraWorkload(Workload):
             if self.jitter_sigma > 0
             else np.ones((n_ops, 2))
         )
+        # per-operation reads from Python lists: numpy scalar indexing
+        # costs several times more and yields the same values
+        arrivals, is_write, jit = arrivals.tolist(), is_write.tolist(), jit.tolist()
 
         # Round-robin ops onto worker threads, as cassandra-stress does with
         # a fixed in-flight population.
@@ -141,6 +145,8 @@ class CassandraWorkload(Workload):
         for op in range(n_ops):
             per_thread_ops[op % self.n_threads].append(op)
 
+        # segments are frozen, so every operation shares one reply segment
+        reply = IoSegment(device_time=1.0 * MS, irqs=1, kind=IrqKind.NET)
         threads: list[ThreadSpec] = []
         for t, ops in enumerate(per_thread_ops):
             if not ops:
@@ -151,14 +157,14 @@ class CassandraWorkload(Workload):
                 if is_write[op]:
                     program.append(
                         ComputeSegment(
-                            work=self.write_cpu_work * float(jit[op, 0]),
+                            work=self.write_cpu_work * jit[op][0],
                             mem_intensity=0.35,
                             kernel_share=0.15,
                         )
                     )
                     program.append(
                         IoSegment(
-                            device_time=self.write_io_time * float(jit[op, 1]),
+                            device_time=self.write_io_time * jit[op][1],
                             irqs=2,
                             kind=IrqKind.DISK,
                             is_write=True,
@@ -167,32 +173,30 @@ class CassandraWorkload(Workload):
                 else:
                     program.append(
                         ComputeSegment(
-                            work=self.read_cpu_work * float(jit[op, 0]),
+                            work=self.read_cpu_work * jit[op][0],
                             mem_intensity=0.35,
                             kernel_share=0.15,
                         )
                     )
                     program.append(
                         IoSegment(
-                            device_time=self.read_io_time * float(jit[op, 1]),
+                            device_time=self.read_io_time * jit[op][1],
                             irqs=3,
                             kind=IrqKind.DISK,
                         )
                     )
                 # result marshalling back to the stress client
-                program.append(
-                    IoSegment(device_time=1.0 * MS, irqs=1, kind=IrqKind.NET)
-                )
+                program.append(reply)
                 marks.append(
                     OpMark(
                         seg_index=len(program) - 1,
-                        submitted_at=float(arrivals[op]),
+                        submitted_at=arrivals[op],
                     )
                 )
             threads.append(
                 ThreadSpec(
                     program=program,
-                    arrival_time=float(arrivals[ops[0]]),
+                    arrival_time=arrivals[ops[0]],
                     working_set_bytes=64 * MB,
                     name=f"cass-worker{t}",
                     op_marks=marks,

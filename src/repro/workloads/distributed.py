@@ -25,13 +25,14 @@ deploys them as instances on one (or a conceptual multi-) host.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import WorkloadError
 from repro.units import KIB, MB
-from repro.workloads.base import ProcessSpec, ThreadSpec, WorkloadProfile
+from repro.workloads.base import ProcessSpec, ThreadSpec, WorkloadProfile, jittered
 from repro.workloads.mpi import MpiSearchWorkload
 from repro.workloads.segments import (
     BarrierSegment,
@@ -68,10 +69,12 @@ class DistributedMpiWorkload(MpiSearchWorkload):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.n_nodes < 1:
+        if not 1 <= self.n_nodes < math.inf:
             raise WorkloadError(f"n_nodes must be >= 1, got {self.n_nodes}")
-        if self.message_bytes < 0:
-            raise WorkloadError("message_bytes must be >= 0")
+        if not 0.0 <= self.message_bytes < math.inf:
+            raise WorkloadError("message_bytes must be finite and >= 0")
+        if not 0.0 <= self.inter_node_penalty < math.inf:
+            raise WorkloadError("inter_node_penalty must be finite and >= 0")
 
     def profile(self) -> WorkloadProfile:
         return WorkloadProfile(
@@ -106,34 +109,43 @@ class DistributedMpiWorkload(MpiSearchWorkload):
         remote_fraction = 1.0 - local_fraction
         base_chunk = self.total_work / total_ranks / self.n_rounds
 
+        works = jittered(
+            np.repeat((base_chunk * weights)[:, None], self.n_rounds, axis=1),
+            self.jitter_sigma,
+            rng,
+        )
+        # segments are frozen, so every rank shares one barrier per round
+        # and one segment per exchange kind
+        barriers = [
+            BarrierSegment(barrier_id=r, scope="global")
+            for r in range(self.n_rounds)
+        ]
+        exchange: list[Segment] = []
+        if total_ranks > 1:
+            exchange.append(CommSegment(base_latency=round_lat * local_fraction))
+        if self.n_nodes > 1:
+            exchange.append(
+                CommSegment(
+                    base_latency=(
+                        round_lat * remote_fraction * self.inter_node_penalty
+                    ),
+                    remote=True,
+                    message_bytes=self.message_bytes,
+                )
+            )
+
         nodes: list[list[ProcessSpec]] = []
         rank = 0
         for node in range(self.n_nodes):
             threads: list[ThreadSpec] = []
             for local in range(ranks_per_node):
                 program: list[Segment] = []
-                for r in range(self.n_rounds):
-                    w = base_chunk * float(weights[rank]) * self._jitter(rng)
+                for w, barrier in zip(works[rank], barriers):
                     program.append(
                         ComputeSegment(work=w, mem_intensity=0.35, kernel_share=0.05)
                     )
-                    program.append(BarrierSegment(barrier_id=r, scope="global"))
-                    if total_ranks > 1:
-                        program.append(
-                            CommSegment(base_latency=round_lat * local_fraction)
-                        )
-                    if self.n_nodes > 1:
-                        program.append(
-                            CommSegment(
-                                base_latency=(
-                                    round_lat
-                                    * remote_fraction
-                                    * self.inter_node_penalty
-                                ),
-                                remote=True,
-                                message_bytes=self.message_bytes,
-                            )
-                        )
+                    program.append(barrier)
+                    program += exchange
                 threads.append(
                     ThreadSpec(
                         program=program,

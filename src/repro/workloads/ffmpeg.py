@@ -25,6 +25,7 @@ produces N independent transcode processes over 1/N-duration clips.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,7 +33,13 @@ import numpy as np
 from repro.errors import WorkloadError
 from repro.hostmodel.irq import IrqKind
 from repro.units import MB
-from repro.workloads.base import ProcessSpec, ThreadSpec, Workload, WorkloadProfile
+from repro.workloads.base import (
+    ProcessSpec,
+    ThreadSpec,
+    Workload,
+    WorkloadProfile,
+    jittered,
+)
 from repro.workloads.segments import (
     BarrierSegment,
     ComputeSegment,
@@ -85,18 +92,18 @@ class FfmpegWorkload(Workload):
     metric = "makespan"
 
     def __post_init__(self) -> None:
-        if self.video_seconds <= 0:
-            raise WorkloadError("video_seconds must be > 0")
-        if self.work_per_video_second <= 0:
-            raise WorkloadError("work_per_video_second must be > 0")
+        if not 0.0 < self.video_seconds < math.inf:
+            raise WorkloadError("video_seconds must be finite and > 0")
+        if not 0.0 < self.work_per_video_second < math.inf:
+            raise WorkloadError("work_per_video_second must be finite and > 0")
         if not 0.0 <= self.serial_fraction < 1.0:
             raise WorkloadError("serial_fraction must be in [0, 1)")
-        if self.n_sync_chunks < 1:
+        if not 1 <= self.n_sync_chunks < math.inf:
             raise WorkloadError("n_sync_chunks must be >= 1")
-        if self.n_parallel_tasks < 1:
+        if not 1 <= self.n_parallel_tasks < math.inf:
             raise WorkloadError("n_parallel_tasks must be >= 1")
-        if self.jitter_sigma < 0:
-            raise WorkloadError("jitter_sigma must be >= 0")
+        if not 0.0 <= self.jitter_sigma < math.inf:
+            raise WorkloadError("jitter_sigma must be finite and >= 0")
 
     # ------------------------------------------------------------------
 
@@ -158,12 +165,23 @@ class FfmpegWorkload(Workload):
         # Fig. 8 do not rendezvous with each other.
         bar_base = task_index * (self.n_sync_chunks + 1)
 
+        works = jittered(
+            np.full((nt, self.n_sync_chunks), chunk), self.jitter_sigma, rng
+        )
+        # Thread 0 also carries the serial share, spread across the chunks
+        # (rate control runs throughout).
+        works[0] = [w + serial / self.n_sync_chunks for w in works[0]]
+        # segments are frozen, so all threads share one barrier per chunk
+        barriers = [
+            BarrierSegment(barrier_id=bar_base + c)
+            for c in range(self.n_sync_chunks)
+        ]
+
         threads: list[ThreadSpec] = []
         for t in range(nt):
             program: list[Segment] = []
             if t == 0:
-                # Thread 0 reads the input and carries the serial share,
-                # spread across the chunks (rate control runs throughout).
+                # Thread 0 reads the input.
                 program.append(
                     IoSegment(
                         device_time=self._read_time(),
@@ -171,14 +189,11 @@ class FfmpegWorkload(Workload):
                         kind=IrqKind.DISK,
                     )
                 )
-            for c in range(self.n_sync_chunks):
-                w = chunk * self._jitter(rng)
-                if t == 0:
-                    w += serial / self.n_sync_chunks
+            for w, barrier in zip(works[t], barriers):
                 program.append(
                     ComputeSegment(work=w, mem_intensity=0.95, kernel_share=0.02)
                 )
-                program.append(BarrierSegment(barrier_id=bar_base + c))
+                program.append(barrier)
             if t == 0:
                 program.append(
                     IoSegment(
@@ -209,8 +224,3 @@ class FfmpegWorkload(Workload):
     def _write_time(self) -> float:
         """Seconds to write the output clip."""
         return (self.output_bytes / self.n_parallel_tasks) / (150 * MB)
-
-    def _jitter(self, rng: np.random.Generator) -> float:
-        if self.jitter_sigma == 0:
-            return 1.0
-        return float(np.exp(rng.normal(0.0, self.jitter_sigma)))

@@ -35,7 +35,13 @@ import numpy as np
 
 from repro.errors import WorkloadError
 from repro.units import MB
-from repro.workloads.base import ProcessSpec, ThreadSpec, Workload, WorkloadProfile
+from repro.workloads.base import (
+    ProcessSpec,
+    ThreadSpec,
+    Workload,
+    WorkloadProfile,
+    jittered,
+)
 from repro.workloads.segments import (
     BarrierSegment,
     CommSegment,
@@ -75,16 +81,18 @@ class _MpiWorkloadBase(Workload):
     metric = "makespan"
 
     def __post_init__(self) -> None:
-        if self.total_work <= 0:
-            raise WorkloadError("total_work must be > 0")
-        if self.n_rounds < 1:
+        if not 0.0 < self.total_work < math.inf:
+            raise WorkloadError("total_work must be finite and > 0")
+        if not 1 <= self.n_rounds < math.inf:
             raise WorkloadError("n_rounds must be >= 1")
-        if self.comm_seconds_per_rank < 0:
-            raise WorkloadError("comm_seconds_per_rank must be >= 0")
-        if self.jitter_sigma < 0:
-            raise WorkloadError("jitter_sigma must be >= 0")
-        if self.imbalance < 0:
-            raise WorkloadError("imbalance must be >= 0")
+        if not 0.0 <= self.comm_seconds_per_rank < math.inf:
+            raise WorkloadError(
+                "comm_seconds_per_rank must be finite and >= 0"
+            )
+        if not 0.0 <= self.jitter_sigma < math.inf:
+            raise WorkloadError("jitter_sigma must be finite and >= 0")
+        if not 0.0 <= self.imbalance < math.inf:
+            raise WorkloadError("imbalance must be finite and >= 0")
 
     # ------------------------------------------------------------------
 
@@ -113,18 +121,27 @@ class _MpiWorkloadBase(Workload):
         weights = self.rank_weights(n_ranks)
         per_round_lat = self.round_latency(n_ranks)
         base_chunk = self.total_work / n_ranks / self.n_rounds
+        works = jittered(
+            np.repeat((base_chunk * weights)[:, None], self.n_rounds, axis=1),
+            self.jitter_sigma,
+            rng,
+        )
+        # segments are frozen, so every rank shares one barrier per round
+        # and one exchange segment
+        barriers = [BarrierSegment(barrier_id=r) for r in range(self.n_rounds)]
+        exchange = (
+            [CommSegment(base_latency=per_round_lat)] if n_ranks > 1 else []
+        )
 
         threads: list[ThreadSpec] = []
         for rank in range(n_ranks):
             program: list[Segment] = []
-            for r in range(self.n_rounds):
-                w = base_chunk * float(weights[rank]) * self._jitter(rng)
+            for w, barrier in zip(works[rank], barriers):
                 program.append(
                     ComputeSegment(work=w, mem_intensity=0.35, kernel_share=0.05)
                 )
-                program.append(BarrierSegment(barrier_id=r))
-                if n_ranks > 1:
-                    program.append(CommSegment(base_latency=per_round_lat))
+                program.append(barrier)
+                program += exchange
             threads.append(
                 ThreadSpec(
                     program=program,
@@ -139,11 +156,6 @@ class _MpiWorkloadBase(Workload):
                 memory_demand_bytes=n_ranks * 24 * MB,
             )
         ]
-
-    def _jitter(self, rng: np.random.Generator) -> float:
-        if self.jitter_sigma == 0:
-            return 1.0
-        return float(np.exp(rng.normal(0.0, self.jitter_sigma)))
 
 
 @dataclass

@@ -23,6 +23,7 @@ processes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,12 +46,12 @@ __all__ = ["OpenLoopCassandra", "OpenLoopWordPress"]
 
 
 def _validate_open_loop(wl) -> None:
-    if wl.n_requests < 1:
+    if not 1 <= wl.n_requests < math.inf:
         raise WorkloadError("n_requests must be >= 1")
-    if not wl.rate > 0:
-        raise WorkloadError(f"rate must be > 0, got {wl.rate}")
-    if wl.jitter_sigma < 0:
-        raise WorkloadError("jitter_sigma must be >= 0")
+    if not 0.0 < wl.rate < math.inf:
+        raise WorkloadError(f"rate must be finite and > 0, got {wl.rate}")
+    if not 0.0 <= wl.jitter_sigma < math.inf:
+        raise WorkloadError("jitter_sigma must be finite and >= 0")
     arrival_process(wl.arrivals)  # raises on unknown name
 
 
@@ -93,11 +94,11 @@ class OpenLoopWordPress(Workload):
     def __post_init__(self) -> None:
         _validate_open_loop(self)
         for attr in ("php_work", "db_work"):
-            if getattr(self, attr) <= 0:
-                raise WorkloadError(f"{attr} must be > 0")
+            if not 0.0 < getattr(self, attr) < math.inf:
+                raise WorkloadError(f"{attr} must be finite and > 0")
         for attr in ("net_io_time", "disk_io_time"):
-            if getattr(self, attr) < 0:
-                raise WorkloadError(f"{attr} must be >= 0")
+            if not 0.0 <= getattr(self, attr) < math.inf:
+                raise WorkloadError(f"{attr} must be finite and >= 0")
 
     def profile(self) -> WorkloadProfile:
         return WorkloadProfile(
@@ -115,6 +116,8 @@ class OpenLoopWordPress(Workload):
             if self.jitter_sigma > 0
             else np.ones((self.n_requests, 4))
         )
+        # segments are frozen, so every request shares one reply segment
+        reply = IoSegment(device_time=self.net_io_time, irqs=1, kind=IrqKind.NET)
         processes: list[ProcessSpec] = []
         for i in range(self.n_requests):
             program: list[Segment] = [
@@ -138,11 +141,7 @@ class OpenLoopWordPress(Workload):
                     mem_intensity=0.30,
                     kernel_share=0.15,
                 ),
-                IoSegment(
-                    device_time=self.net_io_time,
-                    irqs=1,
-                    kind=IrqKind.NET,
-                ),
+                reply,
             ]
             processes.append(
                 ProcessSpec(
@@ -204,8 +203,8 @@ class OpenLoopCassandra(Workload):
             "read_io_time",
             "write_io_time",
         ):
-            if getattr(self, attr) <= 0:
-                raise WorkloadError(f"{attr} must be > 0")
+            if not 0.0 < getattr(self, attr) < math.inf:
+                raise WorkloadError(f"{attr} must be finite and > 0")
 
     def storage_model(self) -> StorageModel:
         """Cassandra's disk profile (random cache-missing IO, RAID1)."""
@@ -228,6 +227,7 @@ class OpenLoopCassandra(Workload):
             if self.jitter_sigma > 0
             else np.ones((self.n_requests, 2))
         )
+        reply = IoSegment(device_time=1.0 * MS, irqs=1, kind=IrqKind.NET)
         processes: list[ProcessSpec] = []
         for i in range(self.n_requests):
             if is_write[i]:
@@ -257,9 +257,7 @@ class OpenLoopCassandra(Workload):
                         kind=IrqKind.DISK,
                     ),
                 ]
-            program.append(
-                IoSegment(device_time=1.0 * MS, irqs=1, kind=IrqKind.NET)
-            )
+            program.append(reply)
             processes.append(
                 ProcessSpec(
                     threads=[

@@ -30,6 +30,7 @@ Four segment kinds cover the behaviours the paper's applications exhibit:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -70,8 +71,12 @@ class ComputeSegment:
     kernel_share: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.work <= 0:
-            raise WorkloadError(f"compute work must be > 0, got {self.work}")
+        # negated range checks: NaN fails every comparison, so it is
+        # rejected along with out-of-range values at no extra cost
+        if not 0.0 < self.work < math.inf:
+            raise WorkloadError(
+                f"compute work must be finite and > 0, got {self.work}"
+            )
         if not 0.0 <= self.mem_intensity <= 1.0:
             raise WorkloadError(
                 f"mem_intensity must be in [0, 1], got {self.mem_intensity}"
@@ -105,9 +110,11 @@ class IoSegment:
     is_write: bool = False
 
     def __post_init__(self) -> None:
-        if self.device_time < 0:
-            raise WorkloadError(f"device_time must be >= 0, got {self.device_time}")
-        if self.irqs < 1:
+        if not 0.0 <= self.device_time < math.inf:
+            raise WorkloadError(
+                f"device_time must be finite and >= 0, got {self.device_time}"
+            )
+        if not 1 <= self.irqs < math.inf:
             raise WorkloadError(f"irqs must be >= 1, got {self.irqs}")
         if self.kind is IrqKind.TIMER:
             raise WorkloadError("IoSegment kind must be DISK or NET")
@@ -137,15 +144,18 @@ class CommSegment:
     message_bytes: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.base_latency < 0:
+        if not 0.0 <= self.base_latency < math.inf:
             raise WorkloadError(
-                f"base_latency must be >= 0, got {self.base_latency}"
+                f"base_latency must be finite and >= 0, got {self.base_latency}"
             )
-        if self.cpu_work < 0:
-            raise WorkloadError(f"cpu_work must be >= 0, got {self.cpu_work}")
-        if self.message_bytes < 0:
+        if not 0.0 <= self.cpu_work < math.inf:
             raise WorkloadError(
-                f"message_bytes must be >= 0, got {self.message_bytes}"
+                f"cpu_work must be finite and >= 0, got {self.cpu_work}"
+            )
+        if not 0.0 <= self.message_bytes < math.inf:
+            raise WorkloadError(
+                "message_bytes must be finite and >= 0, "
+                f"got {self.message_bytes}"
             )
 
 
@@ -168,8 +178,10 @@ class BarrierSegment:
     scope: str = "process"
 
     def __post_init__(self) -> None:
-        if self.barrier_id < 0:
-            raise WorkloadError(f"barrier_id must be >= 0, got {self.barrier_id}")
+        if not 0 <= self.barrier_id < math.inf:
+            raise WorkloadError(
+                f"barrier_id must be finite and >= 0, got {self.barrier_id}"
+            )
         if self.scope not in ("process", "global"):
             raise WorkloadError(
                 f"scope must be 'process' or 'global', got {self.scope!r}"
@@ -177,6 +189,7 @@ class BarrierSegment:
 
 
 Segment = Union[ComputeSegment, IoSegment, CommSegment, BarrierSegment]
+_SEGMENT_TYPES = (ComputeSegment, IoSegment, CommSegment, BarrierSegment)
 
 
 def total_compute_work(program: Iterable[Segment]) -> float:
@@ -207,7 +220,5 @@ def validate_program(program: list[Segment]) -> None:
     if not program:
         raise WorkloadError("a thread program must contain at least one segment")
     for seg in program:
-        if not isinstance(
-            seg, (ComputeSegment, IoSegment, CommSegment, BarrierSegment)
-        ):
+        if not isinstance(seg, _SEGMENT_TYPES):
             raise WorkloadError(f"unknown segment type: {type(seg).__name__}")

@@ -9,6 +9,7 @@ continuously instead of being limited to the four fixed applications.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,13 @@ import numpy as np
 from repro.errors import WorkloadError
 from repro.hostmodel.irq import IrqKind
 from repro.units import MB
-from repro.workloads.base import ProcessSpec, ThreadSpec, Workload, WorkloadProfile
+from repro.workloads.base import (
+    ProcessSpec,
+    ThreadSpec,
+    Workload,
+    WorkloadProfile,
+    jittered,
+)
 from repro.workloads.segments import ComputeSegment, IoSegment, Segment
 
 __all__ = ["SyntheticWorkload"]
@@ -59,20 +66,20 @@ class SyntheticWorkload(Workload):
     metric = "makespan"
 
     def __post_init__(self) -> None:
-        if self.n_processes < 1:
+        if not 1 <= self.n_processes < math.inf:
             raise WorkloadError("n_processes must be >= 1")
-        if self.threads_per_process < 1:
+        if not 1 <= self.threads_per_process < math.inf:
             raise WorkloadError("threads_per_process must be >= 1")
-        if self.phases < 1:
+        if not 1 <= self.phases < math.inf:
             raise WorkloadError("phases must be >= 1")
-        if self.compute_per_phase <= 0:
-            raise WorkloadError("compute_per_phase must be > 0")
+        if not 0.0 < self.compute_per_phase < math.inf:
+            raise WorkloadError("compute_per_phase must be finite and > 0")
         if not 0.0 <= self.io_fraction < 1.0:
             raise WorkloadError("io_fraction must be in [0, 1)")
         if not 0.0 <= self.mem_intensity <= 1.0:
             raise WorkloadError("mem_intensity must be in [0, 1]")
-        if self.jitter_sigma < 0:
-            raise WorkloadError("jitter_sigma must be >= 0")
+        if not 0.0 <= self.jitter_sigma < math.inf:
+            raise WorkloadError("jitter_sigma must be finite and >= 0")
 
     def profile(self) -> WorkloadProfile:
         return WorkloadProfile(
@@ -88,41 +95,38 @@ class SyntheticWorkload(Workload):
             if self.io_fraction > 0
             else 0.0
         )
-        # One vectorized draw replaces the per-segment _jitter calls.
-        # Generator.normal(size=N) consumes the bit stream exactly as N
-        # sequential scalar draws do, and np.exp is elementwise IEEE, so
-        # the segment works are bit-identical to the scalar-draw build.
-        per_phase = 2 if io_per_phase > 0 else 1
-        n_draws = self.n_processes * self.threads_per_process * self.phases
-        if self.jitter_sigma > 0:
-            jit = np.exp(
-                rng.normal(0.0, self.jitter_sigma, size=n_draws * per_phase)
+        # each thread's row: every phase's compute work, then its IO time
+        phase = [self.compute_per_phase] + ([io_per_phase] if io_per_phase > 0 else [])
+        sizes = iter(
+            jittered(
+                np.tile(
+                    np.array(phase, dtype=np.float64),
+                    (self.n_processes * self.threads_per_process, self.phases),
+                ),
+                self.jitter_sigma,
+                rng,
             )
-        else:
-            jit = np.ones(n_draws * per_phase)
-        k = 0
+        )
         processes: list[ProcessSpec] = []
         for p in range(self.n_processes):
             threads: list[ThreadSpec] = []
             for t in range(self.threads_per_process):
+                row = next(sizes)
                 program: list[Segment] = []
-                for _ in range(self.phases):
+                for i in range(0, len(row), len(phase)):
                     program.append(
                         ComputeSegment(
-                            work=self.compute_per_phase * float(jit[k]),
-                            mem_intensity=self.mem_intensity,
+                            work=row[i], mem_intensity=self.mem_intensity
                         )
                     )
-                    k += 1
                     if io_per_phase > 0:
                         program.append(
                             IoSegment(
-                                device_time=io_per_phase * float(jit[k]),
+                                device_time=row[i + 1],
                                 irqs=1,
                                 kind=IrqKind.DISK,
                             )
                         )
-                        k += 1
                 threads.append(
                     ThreadSpec(
                         program=program,
@@ -138,8 +142,3 @@ class SyntheticWorkload(Workload):
                 )
             )
         return processes
-
-    def _jitter(self, rng: np.random.Generator) -> float:
-        if self.jitter_sigma == 0:
-            return 1.0
-        return float(np.exp(rng.normal(0.0, self.jitter_sigma)))

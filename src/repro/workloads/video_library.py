@@ -23,6 +23,7 @@ and multitasking degree still drives the vanilla-CN overhead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,12 +62,12 @@ class VideoSpec:
     size_bytes: float = 30 * MB
 
     def __post_init__(self) -> None:
-        if self.duration_seconds <= 0:
-            raise WorkloadError("duration_seconds must be > 0")
-        if self.complexity <= 0:
-            raise WorkloadError("complexity must be > 0")
-        if self.size_bytes <= 0:
-            raise WorkloadError("size_bytes must be > 0")
+        if not 0.0 < self.duration_seconds < math.inf:
+            raise WorkloadError("duration_seconds must be finite and > 0")
+        if not 0.0 < self.complexity < math.inf:
+            raise WorkloadError("complexity must be finite and > 0")
+        if not 0.0 < self.size_bytes < math.inf:
+            raise WorkloadError("size_bytes must be finite and > 0")
 
     def codec_work(self, work_per_video_second: float) -> float:
         """Core-seconds to transcode this clip."""
@@ -97,12 +98,12 @@ class VideoLibrary:
     seed: int = 2020
 
     def __post_init__(self) -> None:
-        if self.n_videos < 1:
+        if not 1 <= self.n_videos < math.inf:
             raise WorkloadError("n_videos must be >= 1")
-        if self.mean_duration <= 0:
-            raise WorkloadError("mean_duration must be > 0")
-        if self.complexity_sigma < 0:
-            raise WorkloadError("complexity_sigma must be >= 0")
+        if not 0.0 < self.mean_duration < math.inf:
+            raise WorkloadError("mean_duration must be finite and > 0")
+        if not 0.0 <= self.complexity_sigma < math.inf:
+            raise WorkloadError("complexity_sigma must be finite and >= 0")
 
     def videos(self) -> list[VideoSpec]:
         """Materialize the corpus (deterministic per seed)."""
@@ -160,11 +161,11 @@ class VideoBatchWorkload(Workload):
     metric = "makespan"
 
     def __post_init__(self) -> None:
-        if self.concurrency < 1:
+        if not 1 <= self.concurrency < math.inf:
             raise WorkloadError("concurrency must be >= 1")
-        if self.work_per_video_second <= 0:
-            raise WorkloadError("work_per_video_second must be > 0")
-        if self.threads_per_job < 1:
+        if not 0.0 < self.work_per_video_second < math.inf:
+            raise WorkloadError("work_per_video_second must be finite and > 0")
+        if not 1 <= self.threads_per_job < math.inf:
             raise WorkloadError("threads_per_job must be >= 1")
 
     def profile(self) -> WorkloadProfile:

@@ -28,6 +28,7 @@ tiny connection-accept stagger.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,16 +82,16 @@ class WordPressWorkload(Workload):
     metric = "mean_response"
 
     def __post_init__(self) -> None:
-        if self.n_requests < 1:
+        if not 1 <= self.n_requests < math.inf:
             raise WorkloadError("n_requests must be >= 1")
         for attr in ("php_work", "db_work"):
-            if getattr(self, attr) <= 0:
-                raise WorkloadError(f"{attr} must be > 0")
+            if not 0.0 < getattr(self, attr) < math.inf:
+                raise WorkloadError(f"{attr} must be finite and > 0")
         for attr in ("net_io_time", "disk_io_time", "accept_stagger"):
-            if getattr(self, attr) < 0:
-                raise WorkloadError(f"{attr} must be >= 0")
-        if self.jitter_sigma < 0:
-            raise WorkloadError("jitter_sigma must be >= 0")
+            if not 0.0 <= getattr(self, attr) < math.inf:
+                raise WorkloadError(f"{attr} must be finite and >= 0")
+        if not 0.0 <= self.jitter_sigma < math.inf:
+            raise WorkloadError("jitter_sigma must be finite and >= 0")
 
     def profile(self) -> WorkloadProfile:
         return WorkloadProfile(
@@ -108,47 +109,48 @@ class WordPressWorkload(Workload):
             if self.jitter_sigma > 0
             else np.ones((self.n_requests, 4))
         )
+        # per-request reads from Python lists: numpy scalar indexing costs
+        # several times more and yields the same floats
+        arrivals, jit = arrivals.tolist(), jit.tolist()
+        # segments are frozen, so every request shares one reply segment
+        reply = IoSegment(device_time=self.net_io_time, irqs=1, kind=IrqKind.NET)
         processes: list[ProcessSpec] = []
         for i in range(self.n_requests):
             program: list[Segment] = [
                 IoSegment(
-                    device_time=self.net_io_time * float(jit[i, 0]),
+                    device_time=self.net_io_time * jit[i][0],
                     irqs=1,
                     kind=IrqKind.NET,
                 ),
                 ComputeSegment(
-                    work=self.php_work * float(jit[i, 1]),
+                    work=self.php_work * jit[i][1],
                     mem_intensity=0.30,
                     kernel_share=0.20,
                 ),
                 IoSegment(
-                    device_time=self.disk_io_time * float(jit[i, 2]),
+                    device_time=self.disk_io_time * jit[i][2],
                     irqs=2,
                     kind=IrqKind.DISK,
                 ),
                 ComputeSegment(
-                    work=self.db_work * float(jit[i, 3]),
+                    work=self.db_work * jit[i][3],
                     mem_intensity=0.30,
                     kernel_share=0.15,
                 ),
-                IoSegment(
-                    device_time=self.net_io_time,
-                    irqs=1,
-                    kind=IrqKind.NET,
-                ),
+                reply,
             ]
             processes.append(
                 ProcessSpec(
                     threads=[
                         ThreadSpec(
                             program=program,
-                            arrival_time=float(arrivals[i]),
+                            arrival_time=arrivals[i],
                             working_set_bytes=4 * MB,
                             name=f"wp-req{i}",
                             op_marks=[
                                 OpMark(
                                     seg_index=len(program) - 1,
-                                    submitted_at=float(arrivals[i]),
+                                    submitted_at=arrivals[i],
                                 )
                             ],
                         )

@@ -97,6 +97,42 @@ class TestStats:
         s = summarize([9.0, 10.0, 11.0])
         assert s.relative_ci > 0
 
+    @pytest.mark.parametrize("confidence", [0.5, 0.8, 0.9, 0.95, 0.99])
+    @pytest.mark.parametrize("n", [2, 3, 5, 6, 10, 20, 31, 120, 400])
+    def test_ci_equals_student_t_ppf(self, n, confidence):
+        """The quantile comes from scipy.special.stdtrit, which is what
+        scipy.stats.t.ppf evaluates: the interval must not move a bit."""
+        from scipy import stats
+
+        data = np.random.default_rng(n).normal(10.0, 2.0, size=n)
+        sem = float(data.std(ddof=1)) / np.sqrt(n)
+        t = float(stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
+        mean = float(data.mean())
+        assert confidence_interval(data, confidence) == (
+            mean - t * sem,
+            mean + t * sem,
+        )
+
+    def test_import_does_not_load_scipy_stats(self):
+        """scipy.stats costs ~0.8 s and ~45 MB at start-up; no campaign
+        path needs it, so `import repro` must not pull it in."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
     @given(st.lists(st.floats(min_value=0.1, max_value=1e6), min_size=2, max_size=30))
     @settings(max_examples=30, deadline=None)
     def test_ci_brackets_mean(self, data):

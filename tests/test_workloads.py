@@ -73,6 +73,80 @@ class TestSegments:
             validate_program(["not-a-segment"])  # type: ignore[list-item]
 
 
+_NAN = float("nan")
+_INF = float("inf")
+
+
+class TestNonFiniteInput:
+    """NaN and infinite inputs are rejected where they are constructed,
+    not discovered later as an engine step-guard or deadlock failure."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ComputeSegment(work=_NAN),
+            lambda: ComputeSegment(work=_INF),
+            lambda: ComputeSegment(work=1.0, mem_intensity=_NAN),
+            lambda: IoSegment(device_time=_NAN),
+            lambda: IoSegment(device_time=_INF),
+            lambda: IoSegment(device_time=0.0, irqs=_NAN),
+            lambda: CommSegment(base_latency=_NAN),
+            lambda: CommSegment(base_latency=0.0, cpu_work=_INF),
+            lambda: CommSegment(base_latency=0.0, message_bytes=_NAN),
+            lambda: BarrierSegment(barrier_id=_NAN),
+            lambda: OpMark(0, _NAN),
+            lambda: OpMark(_NAN, 0.0),
+            lambda: ThreadSpec(program=[ComputeSegment(1.0)], arrival_time=_NAN),
+            lambda: ThreadSpec(
+                program=[ComputeSegment(1.0)], working_set_bytes=_INF
+            ),
+            lambda: ProcessSpec(
+                threads=[ThreadSpec(program=[ComputeSegment(1.0)])], weight=_NAN
+            ),
+            lambda: ProcessSpec(
+                threads=[ThreadSpec(program=[ComputeSegment(1.0)])],
+                memory_demand_bytes=_INF,
+            ),
+        ],
+    )
+    def test_program_primitives(self, make):
+        with pytest.raises(WorkloadError):
+            make()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: WordPressWorkload(php_work=_NAN),
+            lambda: WordPressWorkload(disk_io_time=_INF),
+            lambda: WordPressWorkload(jitter_sigma=_NAN),
+            lambda: CassandraWorkload(read_io_time=_NAN),
+            lambda: CassandraWorkload(submission_window=_INF),
+            lambda: MpiSearchWorkload(jitter_sigma=_NAN),
+            lambda: MpiSearchWorkload(total_work=_INF),
+            lambda: MpiPrimeWorkload(imbalance=_NAN),
+            lambda: FfmpegWorkload(video_seconds=_NAN),
+            lambda: FfmpegWorkload(jitter_sigma=_INF),
+            lambda: SyntheticWorkload(compute_per_phase=_NAN),
+            lambda: SyntheticWorkload(jitter_sigma=_NAN),
+        ],
+    )
+    def test_workload_parameters(self, make):
+        with pytest.raises(WorkloadError):
+            make()
+
+    def test_extra_workloads(self):
+        from repro.workloads import DistributedMpiWorkload, OpenLoopWordPress
+
+        for make in (
+            lambda: DistributedMpiWorkload(inter_node_penalty=_NAN),
+            lambda: DistributedMpiWorkload(message_bytes=_INF),
+            lambda: OpenLoopWordPress(rate=_INF),
+            lambda: OpenLoopWordPress(rate=_NAN),
+        ):
+            with pytest.raises(WorkloadError):
+                make()
+
+
 class TestThreadAndProcessSpecs:
     def test_thread_requires_program(self):
         with pytest.raises(WorkloadError):
