@@ -20,6 +20,7 @@ import time
 from repro import (
     CassandraWorkload,
     FfmpegWorkload,
+    ParallelRunner,
     WordPressWorkload,
     instance_type,
     instance_types_upto,
@@ -80,7 +81,7 @@ def test_perf_parallel_sweep_speedup(benchmark, results_dir):
 
     def parallel_sweep():
         return run_platform_sweep(
-            FfmpegWorkload(), instances, jobs=4, **kwargs
+            FfmpegWorkload(), instances, runner=ParallelRunner(4), **kwargs
         )
 
     t0 = time.perf_counter()
@@ -131,12 +132,13 @@ def test_perf_journal_overhead(benchmark, results_dir, tmp_path):
         return time.perf_counter() - t0, sweep
 
     t_off, off = timed()
-    t_null, _ = timed(journal=NULL_JOURNAL)
+    t_null, _ = timed(runner=ParallelRunner(1, journal=NULL_JOURNAL))
     journal = JsonlJournal(tmp_path / "bench.jsonl")
 
     def journaled():
         return run_platform_sweep(
-            FfmpegWorkload(), instances, journal=journal, **kwargs
+            FfmpegWorkload(), instances,
+            runner=ParallelRunner(1, journal=journal), **kwargs
         )
 
     t0 = time.perf_counter()

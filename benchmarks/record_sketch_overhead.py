@@ -21,6 +21,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -61,6 +62,7 @@ def _one_timing(name: str, dist: bool) -> float:
         for k in range(cell_reps)
     ]
     wl = make_wl()
+    gc.collect()  # start every leg from an empty heap; see time_case
     t0 = time.perf_counter()
     run_cell(wl, platform, host, calib, streams, dist=dist)
     return time.perf_counter() - t0
@@ -69,16 +71,20 @@ def _one_timing(name: str, dist: bool) -> float:
 def time_case(name: str, reps: int = 7) -> tuple[float, float]:
     """Best-of-``reps`` (off, on) wall clock, interleaved.
 
-    Off and on timings alternate within each repetition so slow drift
-    (thermal, noisy-neighbour CPU) cancels out of the ratio instead of
-    landing entirely on one side.
+    Off and on timings alternate within each repetition, and which side
+    runs first alternates between repetitions, so slow drift (thermal,
+    noisy-neighbour CPU) cancels out of the ratio instead of landing
+    entirely on one side.  Every leg starts after a full collection, so
+    a gen-2 pass owed to earlier legs cannot land in one side only; the
+    collector stays enabled inside the timing, so collections caused by
+    the layer's own allocations still count.
     """
     _one_timing(name, dist=True)  # warmup: imports, caches, allocator
-    best_off = best_on = float("inf")
-    for _ in range(reps):
-        best_off = min(best_off, _one_timing(name, dist=False))
-        best_on = min(best_on, _one_timing(name, dist=True))
-    return best_off, best_on
+    best = {False: float("inf"), True: float("inf")}
+    for rep in range(reps):
+        for dist in (False, True) if rep % 2 == 0 else (True, False):
+            best[dist] = min(best[dist], _one_timing(name, dist))
+    return best[False], best[True]
 
 
 def check_value_identity() -> None:

@@ -23,6 +23,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -54,6 +55,7 @@ def _one_timing(name: str, traced: bool) -> float:
     """Wall clock of one journaled campaign, tracing off or on."""
     campaign = CASES[name]()
     trace = _ctx(name) if traced else None
+    gc.collect()  # start every leg from an empty heap; see time_case
     t0 = time.perf_counter()
     run_campaign(campaign, journal=MemoryJournal(), trace=trace)
     return time.perf_counter() - t0
@@ -62,16 +64,20 @@ def _one_timing(name: str, traced: bool) -> float:
 def time_case(name: str, reps: int = 5) -> tuple[float, float]:
     """Best-of-``reps`` (off, on) wall clock, interleaved.
 
-    Off and on timings alternate within each repetition so slow drift
-    (thermal, noisy-neighbour CPU) cancels out of the ratio instead of
-    landing entirely on one side.
+    Off and on timings alternate within each repetition, and which side
+    runs first alternates between repetitions, so slow drift (thermal,
+    noisy-neighbour CPU) cancels out of the ratio instead of landing
+    entirely on one side.  Every leg starts after a full collection, so
+    a gen-2 pass owed to earlier legs cannot land in one side only; the
+    collector stays enabled inside the timing, so collections caused by
+    the layer's own allocations still count.
     """
     _one_timing(name, traced=True)  # warmup: imports, caches, allocator
-    best_off = best_on = float("inf")
-    for _ in range(reps):
-        best_off = min(best_off, _one_timing(name, traced=False))
-        best_on = min(best_on, _one_timing(name, traced=True))
-    return best_off, best_on
+    best = {False: float("inf"), True: float("inf")}
+    for rep in range(reps):
+        for traced in (False, True) if rep % 2 == 0 else (True, False):
+            best[traced] = min(best[traced], _one_timing(name, traced))
+    return best[False], best[True]
 
 
 def check_report_identity() -> None:

@@ -84,7 +84,7 @@ from repro.run.campaign import (
     Campaign,
     run_campaign,
 )
-from repro.run.parallel import default_jobs
+from repro.run.parallel import ParallelRunner, default_jobs
 from repro.run.persistence import CellStore, SweepCache
 from repro.run.colocation import Tenant, run_colocated
 from repro.run.execution import run_once
@@ -335,8 +335,45 @@ def build_parser() -> argparse.ArgumentParser:
                 help="render the decomposition as an SVG flamegraph",
             )
 
+    # executor options shared by the campaign-running commands
+    exec_opts = argparse.ArgumentParser(add_help=False)
+    exec_opts.add_argument(
+        "--cache",
+        metavar="DIR",
+        help="content-addressed sweep cache directory (probe + write-back)",
+    )
+    exec_opts.add_argument(
+        "--journal",
+        metavar="PATH",
+        help="stream lifecycle events to a JSONL journal (inspect with "
+        "'repro obs'; latency sketches ride as cell-dist events for "
+        "'repro obs dist')",
+    )
+    exec_opts.add_argument(
+        "--checkpoint",
+        metavar="DIR",
+        help="per-cell checkpoint store: completed cells are persisted "
+        "as they finish, enabling crash-safe --resume "
+        "(default with --cache: <cache>/cells)",
+    )
+    exec_opts.add_argument(
+        "--resume",
+        action="store_true",
+        help="resume a crashed run: replay verified checkpoints and "
+        "cache entries, re-run only missing/corrupt cells, append to "
+        "--journal; the outputs are byte-identical to an uninterrupted run",
+    )
+    exec_opts.add_argument(
+        "--fault-plan",
+        metavar="PATH",
+        help="arm a deterministic fault plan (see 'repro faults plan') "
+        "across the campaign's machinery",
+    )
+
     rep_p = sub.add_parser(
-        "report", help="run the full campaign and write a markdown report"
+        "report",
+        parents=[exec_opts],
+        help="run the full campaign and write a markdown report",
     )
     rep_p.add_argument("--out", default="REPORT.md", help="output path")
     rep_p.add_argument("--reps-fast", type=int, default=5)
@@ -346,37 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         choices=list(KNOWN_EXPERIMENTS),
         help="restrict to these experiments",
-    )
-    rep_p.add_argument(
-        "--cache",
-        metavar="DIR",
-        help="content-addressed sweep cache directory (probe + write-back)",
-    )
-    rep_p.add_argument(
-        "--journal",
-        metavar="PATH",
-        help="stream campaign lifecycle events to a JSONL journal "
-        "(inspect with 'repro obs')",
-    )
-    rep_p.add_argument(
-        "--checkpoint",
-        metavar="DIR",
-        help="per-cell checkpoint store: completed cells are persisted "
-        "as they finish, enabling crash-safe --resume "
-        "(default with --cache: <cache>/cells)",
-    )
-    rep_p.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume a crashed campaign: replay verified checkpoints and "
-        "cache entries, re-run only missing/corrupt cells, append to "
-        "--journal; the report is byte-identical to an uninterrupted run",
-    )
-    rep_p.add_argument(
-        "--fault-plan",
-        metavar="PATH",
-        help="arm a deterministic fault plan (see 'repro faults plan') "
-        "across the campaign's machinery",
     )
     rep_p.add_argument(
         "--dist",
@@ -422,6 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lc_p = sub.add_parser(
         "loadcurve",
+        parents=[exec_opts],
         help="open-loop saturation sweep: offered-rate ladder per "
         "platform, tail-latency curves, knee analysis",
     )
@@ -473,31 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     lc_p.add_argument(
         "--svg", metavar="PATH",
         help="also render the throughput-latency curves as an SVG",
-    )
-    lc_p.add_argument(
-        "--cache", metavar="DIR",
-        help="content-addressed sweep cache directory (probe + write-back)",
-    )
-    lc_p.add_argument(
-        "--checkpoint", metavar="DIR",
-        help="per-cell checkpoint store enabling crash-safe --resume "
-        "(default with --cache: <cache>/cells)",
-    )
-    lc_p.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume a crashed sweep from verified checkpoints; the "
-        "outputs are byte-identical to an uninterrupted run",
-    )
-    lc_p.add_argument(
-        "--journal", metavar="PATH",
-        help="stream lifecycle events to a JSONL journal "
-        "(inspect with 'repro obs'; latency sketches ride as cell-dist "
-        "events for 'repro obs dist')",
-    )
-    lc_p.add_argument(
-        "--fault-plan", metavar="PATH",
-        help="arm a deterministic fault plan (see 'repro faults plan')",
     )
 
     obs_p = sub.add_parser(
@@ -796,6 +778,23 @@ def _jobs(args: argparse.Namespace) -> int:
     return args.jobs or default_jobs()
 
 
+def _exec_opts(args: argparse.Namespace):
+    """The shared ``--cache/--checkpoint/--resume/--fault-plan/--journal``
+    setup: ``(cache, checkpoint, faults, journal)``.  The journal is
+    opened last (appending on ``--resume``); the caller closes it."""
+    cache = SweepCache(args.cache) if args.cache else None
+    checkpoint = CellStore(args.checkpoint) if args.checkpoint else None
+    if args.resume and checkpoint is None and cache is None:
+        raise ReproError("--resume needs --checkpoint and/or --cache")
+    faults = (
+        FaultInjector(FaultPlan.load(args.fault_plan))
+        if args.fault_plan
+        else None
+    )
+    journal = open_journal(args.journal, append=args.resume)
+    return cache, checkpoint, faults, journal
+
+
 def _cmd_tables() -> int:
     print(render_table1())
     print()
@@ -913,7 +912,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         _instances_for(workload_key),
         reps=args.reps,
         seed=args.seed,
-        jobs=_jobs(args),
+        runner=ParallelRunner(_jobs(args)),
     )
     print(render_figure(figure_from_sweep(sweep), title=title))
     print("\noverhead ratios vs Vanilla BM:")
@@ -941,7 +940,7 @@ def _cmd_chr(args: argparse.Namespace) -> int:
         _instances_for(args.workload),
         reps=args.reps,
         seed=args.seed,
-        jobs=_jobs(args),
+        runner=ParallelRunner(_jobs(args)),
     )
     band = estimate_suitable_chr_range(sweep, host)
     ratios = overhead_ratios(sweep, "Vanilla CN")
@@ -1204,15 +1203,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         include=include,
     )
     jobs = _jobs(args)
-    cache = SweepCache(args.cache) if args.cache else None
-    checkpoint = CellStore(args.checkpoint) if args.checkpoint else None
-    if args.resume and checkpoint is None and cache is None:
-        raise ReproError("--resume needs --checkpoint and/or --cache")
-    faults = (
-        FaultInjector(FaultPlan.load(args.fault_plan))
-        if args.fault_plan
-        else None
-    )
     reps_policy = None
     if args.adaptive_reps:
         from repro.analysis.adaptive import AdaptiveRepsPolicy
@@ -1222,7 +1212,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             target_rel_ci=args.adaptive_target,
             round_reps=args.adaptive_round,
         )
-        if cache is not None:
+        if args.cache:
             raise ReproError(
                 "--adaptive-reps bypasses the whole-sweep cache; "
                 "drop --cache (per-cell --checkpoint still works)"
@@ -1242,7 +1232,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 f"report:{campaign.seed}:{','.join(campaign.include)}"
             )
         )
-    journal = open_journal(args.journal, append=args.resume)
+    cache, checkpoint, faults, journal = _exec_opts(args)
     print(f"running campaign {campaign.include} with {jobs} job(s) ...")
     try:
         result = run_campaign(
@@ -1295,16 +1285,7 @@ def _cmd_loadcurve(args: argparse.Namespace) -> int:
         seed=args.seed, include=("loadcurve",), loadcurve=config
     )
     jobs = _jobs(args)
-    cache = SweepCache(args.cache) if args.cache else None
-    checkpoint = CellStore(args.checkpoint) if args.checkpoint else None
-    if args.resume and checkpoint is None and cache is None:
-        raise ReproError("--resume needs --checkpoint and/or --cache")
-    faults = (
-        FaultInjector(FaultPlan.load(args.fault_plan))
-        if args.fault_plan
-        else None
-    )
-    journal = open_journal(args.journal, append=args.resume)
+    cache, checkpoint, faults, journal = _exec_opts(args)
     print(
         f"sweeping {config.workload} over "
         f"{','.join(f'{r:g}' for r in config.rates)} req/s "

@@ -10,11 +10,13 @@ attribute read — through :class:`~repro.run.parallel.ParallelRunner`,
 :class:`~repro.obs.journal.JsonlJournal`, which makes every built-in
 site exercisable without monkeypatching.
 
-Worker-side sites never touch the injector object: the pool wrapper
-ships the immutable plan into the worker and evaluates
-:meth:`FaultPlan.worker_fault` there (see
-:func:`repro.run.parallel._faulted`).  :func:`raise_worker_fault` is the
-shared interpretation of a matched worker spec.
+Worker-side sites are evaluated by the runner's one worker shim
+(:func:`repro.run.parallel._attempt`): a pool submission ships the
+immutable plan into the worker and evaluates
+:meth:`FaultPlan.worker_fault` there, never touching the injector
+object; an inline attempt asks :meth:`FaultInjector.worker_fault`, which
+also records the firing.  :func:`raise_worker_fault` is the shared
+interpretation of a matched worker spec.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from repro.analysis.loadcurve import (
     LoadCurveResult,
     build_loadcurve,
 )
-from repro.obs.journal import Journal
+from repro.obs.journal import NULL_JOURNAL, Journal
 from repro.obs.trace_spans import NULL_TRACER, SpanTracer, TraceContext
 from repro.analysis.stats import StatSummary, summarize
 from repro.errors import ConfigurationError
@@ -341,7 +341,7 @@ def _run_cell_summaries(
 def run_campaign(
     campaign: Campaign | None = None,
     *,
-    jobs: int = 1,
+    jobs: int | None = None,
     runner: ParallelRunner | None = None,
     cache: SweepCache | None = None,
     journal: Journal | None = None,
@@ -360,11 +360,16 @@ def run_campaign(
         What to run (default: everything at default fidelity).
     jobs:
         Worker process count for the independent cells of every
-        experiment.  Results are bit-for-bit identical to ``jobs=1``
-        (each cell's streams derive from the campaign seed).
+        experiment (default 1).  Results are bit-for-bit identical to
+        ``jobs=1`` (each cell's streams derive from the campaign seed).
     runner:
         Pre-configured :class:`~repro.run.parallel.ParallelRunner`
-        (overrides ``jobs``; carries timeout/retry/progress policy).
+        carrying every executor option (timeout/retry/progress policy,
+        journal, checkpoint, latency recording, tracer).  It replaces
+        ``jobs``, ``journal``, ``checkpoint``, ``dist`` and ``trace``:
+        passing any of them with a runner raises
+        :class:`~repro.errors.ConfigurationError`.  Without a runner,
+        one is built from those options.
     cache:
         Optional :class:`~repro.run.persistence.SweepCache`; the Figs.
         3-6 sweeps are probed by content fingerprint before running and
@@ -378,9 +383,9 @@ def run_campaign(
         the runner so every completed cell is persisted as it finishes
         and verified checkpoints are replayed instead of re-run.
     resume:
-        Resume a crashed campaign: requires a ``checkpoint`` store (or a
-        ``cache``, from which the conventional ``<cache>/cells`` store
-        is derived).  Completed cells are reconstructed from verified
+        Resume a crashed campaign: requires a ``checkpoint`` store (the
+        runner's, when one is given; otherwise a ``cache``, from which
+        the conventional ``<cache>/cells`` store is derived).  Completed cells are reconstructed from verified
         checkpoints and sweep-cache entries; only missing or corrupt
         cells re-execute.  The result — and the report generated from it
         — is byte-identical to the uninterrupted run.
@@ -419,25 +424,37 @@ def run_campaign(
         byte-identical with tracing on or off.
     """
     campaign = campaign or Campaign()
-    if resume and checkpoint is None:
-        if cache is None:
-            raise ConfigurationError(
-                "resume=True needs a checkpoint store, or a cache whose "
-                "directory can host the conventional cells/ store"
-            )
-        checkpoint = CellStore(cache.directory / "cells")
-    runner = runner or ParallelRunner(jobs, journal=journal)
-    if dist:
-        runner.dist = True
-    if journal is not None and journal.enabled and not runner.journal.enabled:
-        runner.journal = journal
-    if checkpoint is not None and runner.checkpoint is None:
-        runner.checkpoint = checkpoint
+    # the campaign's own sweep spans; only a tracer built here is closed
     tracer = NULL_TRACER
-    if trace is not None and runner.journal.enabled:
-        tracer = SpanTracer(runner.journal, trace)
-    if tracer.enabled and not runner.tracer.enabled:
-        runner.tracer = tracer
+    if runner is None:
+        if resume and checkpoint is None and cache is not None:
+            checkpoint = CellStore(cache.directory / "cells")
+        journal = journal or NULL_JOURNAL
+        if trace is not None and journal.enabled:
+            tracer = SpanTracer(journal, trace)
+        runner = ParallelRunner(
+            1 if jobs is None else jobs, journal=journal,
+            checkpoint=checkpoint, dist=dist, tracer=tracer,
+        )
+    else:
+        given = [
+            name for name, value in (
+                ("jobs", jobs), ("journal", journal),
+                ("checkpoint", checkpoint), ("dist", dist or None),
+                ("trace", trace),
+            ) if value is not None
+        ]
+        if given:
+            raise ConfigurationError(
+                f"run_campaign got runner= together with {given}; "
+                "set executor options on the runner"
+            )
+    if resume and runner.checkpoint is None:
+        raise ConfigurationError(
+            "resume=True needs a checkpoint store: the runner's, or a "
+            "checkpoint or cache (whose directory can host the "
+            "conventional cells/ store) when no runner is given"
+        )
     # Arm the injector across the campaign's machinery for the duration
     # of this call only: attachments are restored on the way out, so the
     # same cache/checkpoint/journal objects can be reused for a clean
@@ -498,7 +515,6 @@ def run_campaign(
                     seed=campaign.seed,
                     runner=runner,
                     cache=cache,
-                    journal=jl,
                 )
 
         if "fig3" in campaign.include:

@@ -16,14 +16,12 @@ from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 from repro.hostmodel.topology import HostTopology, r830_host
-from repro.obs.journal import NULL_JOURNAL, Journal
-from repro.platforms.base import ExecutionPlatform, PlatformKind
+from repro.platforms.base import PlatformKind
 from repro.platforms.provisioning import InstanceType
 from repro.platforms.registry import make_platform, paper_platform_set
-from repro.rng import DEFAULT_SEED, RngFactory
+from repro.rng import DEFAULT_SEED
 from repro.run.calibration import Calibration
-from repro.run.execution import run_cell
-from repro.run.results import ExperimentResult, RunResult, SweepResult
+from repro.run.results import ExperimentResult, SweepResult
 from repro.sched.affinity import ProvisioningMode
 from repro.workloads.base import Workload
 
@@ -82,10 +80,7 @@ class ExperimentSpec:
 def run_experiment(
     spec: ExperimentSpec,
     *,
-    jobs: int = 1,
     runner: "ParallelRunner | None" = None,
-    journal: Journal | None = None,
-    dist: bool = False,
 ) -> SweepResult:
     """Execute a sweep specification and return the result grid.
 
@@ -93,75 +88,43 @@ def run_experiment(
     stream keyed by (workload, instance, rep) — the *same* stream across
     platforms, so platform comparisons at a given rep see identical
     workload realizations (paired design, tighter overhead ratios).
+    The sweep is decomposed into cell tasks
+    (:func:`~repro.run.parallel.cell_tasks`) and the grid reassembled in
+    serial order, so the result is field-for-field identical at any job
+    count.
 
     Parameters
     ----------
-    jobs:
-        Worker process count.  ``1`` (the default) runs serially in this
-        process; larger values fan the independent cells out over a
-        :class:`~repro.run.parallel.ParallelRunner` with bit-for-bit
-        identical results (each repetition's stream is derived from the
-        spec's seed, not from pool scheduling).
     runner:
-        A pre-configured :class:`~repro.run.parallel.ParallelRunner`
-        (overrides ``jobs``; use for custom timeout/retry/progress).
-    journal:
-        Optional run journal recording the sweep's lifecycle events.  A
-        journal-carrying serial run is routed through the runner's
-        inline path — the exact serial execution, plus telemetry;
-        results are identical either way.  With no journal (the
-        default) the serial path is left completely untouched.
-    dist:
-        Record simulated latency distributions: each cell carries merged
-        per-stream quantile sketches, journaled as ``cell-dist`` events
-        (see :mod:`repro.obs.sketch`).  Metric values stay byte-identical;
-        forces the runner path even at ``jobs=1``.
+        The :class:`~repro.run.parallel.ParallelRunner` executing the
+        cells, carrying every executor option (job count, retries,
+        progress, journal, latency recording, checkpoint, tracer).
+        Defaults to ``ParallelRunner(1)``: inline, one retry per cell.
+        With a journal attached the sweep is bracketed by
+        ``sweep-started`` / ``sweep-finished`` events.
     """
-    journal = journal or NULL_JOURNAL
-    if runner is not None or jobs != 1 or journal.enabled or dist:
-        from repro.run.parallel import ParallelRunner
+    from repro.run.parallel import ParallelRunner, cell_tasks, execute_cell
 
-        runner = runner or ParallelRunner(jobs, journal=journal)
-        if dist:
-            runner.dist = True
-        if journal.enabled and not runner.journal.enabled:
-            runner.journal = journal
-        jl = runner.journal
-        if jl.enabled:
-            jl.record("sweep-started", label=spec.workload.name)
-        t0 = time.perf_counter()
-        sweep = runner.run_experiment(spec)
-        if jl.enabled:
-            jl.record(
-                "sweep-finished",
-                label=spec.workload.name,
-                duration=time.perf_counter() - t0,
-            )
-        return sweep
-
-    factory = RngFactory(seed=spec.seed)
-    cells: dict[tuple[str, str], ExperimentResult] = {}
-    platform_order: list[str] = []
-
-    for instance in spec.instances:
-        platforms: list[ExecutionPlatform] = [
-            make_platform(kind, instance, mode)
-            for kind, mode in spec.platform_grid
-        ]
-        if not platform_order:
-            platform_order = [p.label() for p in platforms]
-        for platform in platforms:
-            streams = [
-                factory.stream_spec(
-                    f"{spec.workload.name}/{instance.name}", rep=rep
-                )
-                for rep in range(spec.reps)
-            ]
-            runs: list[RunResult] = run_cell(
-                spec.workload, platform, spec.host, spec.calib, streams
-            )
-            cells[(platform.label(), instance.name)] = ExperimentResult(runs)
-
+    runner = runner or ParallelRunner(1)
+    jl = runner.journal
+    if jl.enabled:
+        jl.record("sweep-started", label=spec.workload.name)
+    t0 = time.perf_counter()
+    tasks, platform_order = cell_tasks(spec)
+    cell_runs = runner.run_tasks(execute_cell, tasks)
+    cells = {
+        (
+            make_platform(t.kind, t.instance, t.mode).label(),
+            t.instance.name,
+        ): ExperimentResult(runs)
+        for t, runs in zip(tasks, cell_runs)
+    }
+    if jl.enabled:
+        jl.record(
+            "sweep-finished",
+            label=spec.workload.name,
+            duration=time.perf_counter() - t0,
+        )
     return SweepResult(
         workload=spec.workload.name,
         cells=cells,
@@ -209,25 +172,23 @@ def run_platform_sweep(
     reps: int = 20,
     calib: Calibration | None = None,
     seed: int = DEFAULT_SEED,
-    jobs: int = 1,
     runner: "ParallelRunner | None" = None,
     cache: "SweepCache | None" = None,
-    journal: Journal | None = None,
-    dist: bool = False,
 ) -> SweepResult:
     """Run the standard seven-platform figure sweep.
 
     Evaluates ``Vanilla/Pinned {VM, VMCN, CN}`` plus ``Vanilla BM`` —
-    the exact configuration set of Figs. 3-6.  With ``jobs > 1`` the
-    cells run on a worker pool (identical results, see
-    :func:`run_experiment`); with a ``cache`` the sweep is first probed
+    the exact configuration set of Figs. 3-6 — on ``runner`` (see
+    :func:`run_experiment`).  With a ``cache`` the sweep is first probed
     by content fingerprint and only executed (then written back) on a
     miss — an undecodable (torn-write) entry is treated as a miss, noted
     in the probe event, and atomically overwritten.  Cache-resolved
     cells are still counted: they reach the runner's progress callback
-    as tagged cache hits and the ``journal`` as ``cell-cache-hit``
-    events, so ``(done, total)`` stays accurate.
+    as tagged cache hits and its journal as ``cell-cache-hit`` events,
+    so ``(done, total)`` stays accurate.
     """
+    from repro.run.parallel import ParallelRunner, cell_tasks
+
     spec = platform_sweep_spec(
         workload,
         instances,
@@ -236,39 +197,29 @@ def run_platform_sweep(
         calib=calib,
         seed=seed,
     )
-    journal = journal or NULL_JOURNAL
+    runner = runner or ParallelRunner(1)
     if cache is None:
-        return run_experiment(
-            spec, jobs=jobs, runner=runner, journal=journal, dist=dist,
-        )
+        return run_experiment(spec, runner=runner)
 
     present = cache.contains(spec)
     cached = cache.get(spec, on_corrupt="miss")
-    if journal.enabled:
+    if runner.journal.enabled:
         detail = cache.path_for(spec).name
         if present and cached is None:
             detail += " (corrupt entry ignored; re-running)"
-        journal.record(
+        runner.journal.record(
             "sweep-cache-probe",
             label=workload.name,
             cached=cached is not None,
             detail=detail,
         )
-    if runner is not None and runner.metrics is not None:
+    if runner.metrics is not None:
         runner.metrics.counter(
             "repro_cache_probes_total", "sweep-cache fingerprint probes"
         ).inc()
     if cached is not None:
-        from repro.run.parallel import ParallelRunner, cell_tasks
-
-        reporter = runner or ParallelRunner(1, journal=journal)
-        if journal.enabled and not reporter.journal.enabled:
-            reporter.journal = journal
-        tasks, _ = cell_tasks(spec)
-        reporter.report_cached(tasks)
+        runner.report_cached(cell_tasks(spec)[0])
         return cached
-    sweep = run_experiment(
-        spec, jobs=jobs, runner=runner, journal=journal, dist=dist,
-    )
+    sweep = run_experiment(spec, runner=runner)
     cache.put(spec, sweep)
     return sweep

@@ -2,46 +2,30 @@
 
 A sweep is a grid of independent (platform, instance) cells; the paper
 ran them on a 112-core host, and there is no reason the reproduction
-should pay for them serially.  :class:`ParallelRunner` fans cells out
-over a :class:`concurrent.futures.ProcessPoolExecutor` while keeping the
-results **bit-for-bit identical** to the serial path:
+should pay for them serially.  :class:`ParallelRunner` runs cell tasks
+through one attempt loop over a submit backend — *inline* (``jobs=1``:
+each call deferred until its cell is collected, in this process) or
+*pool* (a :class:`concurrent.futures.ProcessPoolExecutor`) — with
+results **bit-for-bit identical** either way: every repetition's
+randomness is a picklable :class:`~repro.rng.StreamSpec` derived from
+the experiment's root seed and carried by the task, and results are
+reassembled in submission (serial) order.
 
-* every repetition's randomness is described by a picklable
-  :class:`~repro.rng.StreamSpec` built from the experiment's root seed —
-  the seed travels with the task, never with the pool, so scheduling
-  order cannot perturb any stream;
-* results are reassembled in task-submission order, so the
-  :class:`~repro.run.results.SweepResult` cell order matches the serial
-  iteration exactly.
-
-Failure handling: a task whose worker raises is resubmitted up to
-``retries`` extra times; a broken pool (worker process killed) is
-rebuilt and the outstanding tasks resubmitted; a task exceeding the
-per-task ``timeout`` raises a structured
-:class:`~repro.errors.ParallelExecutionError` — carrying the per-attempt
-failure history — instead of hanging the campaign.  A ``progress``
-callback reports ``(done, total, task)`` after each completed cell,
-including cells resolved from the sweep cache (delivered as tagged
-:class:`CachedCell` payloads via :meth:`ParallelRunner.report_cached`).
-
-Telemetry: attach a :class:`~repro.obs.journal.Journal` to stream
-structured lifecycle events (cell queued / started / cache-hit / retried
-/ failed / finished, worker identity, durations, pool rebuilds) and a
-:class:`~repro.obs.metrics.MetricsRegistry` to accumulate campaign
-counters.  Both default to off, leaving the execution path untouched.
-
-Fault injection and resume: attach a
-:class:`~repro.faults.FaultInjector` to fire a deterministic
-:class:`~repro.faults.FaultPlan` at the runner's worker sites
-(``worker.kill`` / ``task.timeout`` / ``task.error`` — the plan travels
-with the task, so pool scheduling cannot perturb which faults fire on
-the inline path), and a :class:`~repro.run.persistence.CellStore`
-checkpoint to make campaigns crash-safe: every completed cell task is
-persisted atomically as it finishes, probed (with fingerprint
-verification) before submission, and replayed instead of re-run —
-delivered to progress/journal as tagged :class:`CachedCell` payloads
-with ``resumed=True``.  Both default to off, leaving the execution path
-untouched.
+The loop owns retries (``retries`` extra attempts, never for
+:class:`~repro.errors.ConfigurationError` or
+:class:`~repro.errors.InjectedCrash`), the per-attempt failure history of
+a :class:`~repro.errors.ParallelExecutionError`, pool rebuilds after a
+killed worker, the per-task pool ``timeout``, and the progress callback
+``(done, total, task)`` — which also sees sweep-cache hits and
+checkpoint replays as tagged :class:`CachedCell` payloads.  Optional
+attachments, all off by default and then leaving results untouched: a
+:class:`~repro.obs.journal.Journal` (cell lifecycle events), a
+:class:`~repro.obs.metrics.MetricsRegistry`, a
+:class:`~repro.faults.FaultInjector` (worker-site faults, evaluated by
+the one worker shim :func:`_attempt`), a
+:class:`~repro.run.persistence.CellStore` checkpoint (write-through and
+verified replay for crash-safe resume), latency recording (``dist``) and
+a span tracer.
 """
 
 from __future__ import annotations
@@ -49,10 +33,11 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from repro.errors import (
     AttemptFailure,
@@ -60,7 +45,7 @@ from repro.errors import (
     InjectedCrash,
     ParallelExecutionError,
 )
-from repro.faults import NULL_INJECTOR, FaultInjector, FaultPlan, raise_worker_fault
+from repro.faults import NULL_INJECTOR, FaultInjector, raise_worker_fault
 from repro.hostmodel.topology import HostTopology
 from repro.obs.journal import NULL_JOURNAL, Journal
 from repro.obs.metrics import CELL_SECONDS_BUCKETS, MetricsRegistry
@@ -73,7 +58,7 @@ from repro.rng import RngFactory, StreamSpec
 from repro.run.calibration import Calibration
 from repro.run.execution import run_cell
 from repro.run.experiment import ExperimentSpec
-from repro.run.results import ExperimentResult, RunResult, SweepResult
+from repro.run.results import RunResult
 from repro.sched.affinity import ProvisioningMode
 from repro.workloads.base import Workload
 
@@ -88,10 +73,19 @@ __all__ = [
     "cell_tasks",
     "default_jobs",
     "execute_cell",
-    "execute_cell_dist",
 ]
 
 ProgressFn = Callable[[int, int, object], None]
+
+#: Help text of the campaign counters the runner bumps by name.
+_COUNTERS = {
+    "repro_cells_completed_total": "campaign cells resolved (run or cached)",
+    "repro_cells_resumed_total": "cells replayed from resume checkpoints",
+    "repro_cache_hit_cells_total": "cells resolved from the sweep cache",
+    "repro_pool_rebuilds_total": "worker-pool rebuilds after breakage",
+    "repro_cell_failures_total": "cells that failed permanently",
+    "repro_cell_retries_total": "cell attempts that failed and were retried",
+}
 
 
 def default_jobs() -> int:
@@ -149,31 +143,23 @@ class CachedCell:
         return _label(self.task, 0)
 
 
-def execute_cell(task: CellTask) -> list[RunResult]:
+def execute_cell(task: CellTask, dist: bool = False) -> list[RunResult]:
     """Worker entry point: run one cell's repetitions.
 
     Module-level (hence picklable) and stateless: everything the cell
-    needs arrives inside the task.
+    needs arrives inside the task.  With ``dist`` each repetition
+    carries its simulated latency sketches on ``RunResult.dist`` (a
+    runner with ``dist=True`` binds it); metric values are
+    byte-identical either way.
     """
     platform = make_platform(task.kind, task.instance, task.mode)
     return run_cell(
-        task.workload, platform, task.host, task.calib, list(task.streams)
-    )
-
-
-def execute_cell_dist(task: CellTask) -> list[RunResult]:
-    """:func:`execute_cell` with latency recording: each repetition
-    carries its simulated latency sketches on ``RunResult.dist``.
-    Metric values are byte-identical to :func:`execute_cell`."""
-    platform = make_platform(task.kind, task.instance, task.mode)
-    return run_cell(
         task.workload, platform, task.host, task.calib, list(task.streams),
-        dist=True,
+        dist=dist,
     )
 
 
-@dataclass(frozen=True)
-class _Observed:
+class _Observed(NamedTuple):
     """Worker-side observation wrapped around a task result."""
 
     result: object
@@ -200,45 +186,70 @@ class _ObservedFailure(Exception):
         return str(self.cause)
 
 
-def _observed(worker: Callable, payload) -> _Observed:
-    """Run ``worker(payload)`` recording worker identity and timing.
+def _attempt(
+    worker: Callable,
+    payload,
+    label: str,
+    attempt: int,
+    faults,
+    in_pool: bool,
+    observe: bool,
+):
+    """One attempt of ``worker(payload)``: the worker shim of both backends.
 
-    Used in place of the bare worker when a journal is attached;
-    :class:`~repro.errors.ConfigurationError` passes through unwrapped
-    so the runner's no-retry rule still sees it.
+    Module-level (hence picklable).  ``faults`` is the parent's
+    :class:`~repro.faults.FaultInjector` inline (matching also records
+    the firing) or the immutable :class:`~repro.faults.FaultPlan`
+    shipped with a pool submission, so whichever worker process picks
+    the task up reaches the same verdict.  A matched spec is interpreted
+    by :func:`~repro.faults.raise_worker_fault`: in a pool worker
+    ``worker.kill`` really kills the process and ``task.timeout`` sleeps
+    past the collection timeout; inline both raise
+    :class:`~repro.errors.InjectedCrash`.
+
+    With ``observe`` the result comes back as an :class:`_Observed`
+    (worker identity and timing) and a failure as an
+    :class:`_ObservedFailure`; :class:`~repro.errors.ConfigurationError`
+    and :class:`~repro.errors.InjectedCrash` pass through unwrapped so
+    the runner's no-retry rule still sees them.
     """
+    if faults is not None:
+        spec = faults.worker_fault(label, attempt)
+        if spec is not None:
+            raise_worker_fault(spec, label, in_pool=in_pool)
+    if not observe:
+        return worker(payload)
     started = time.time()
     t0 = time.perf_counter()
     try:
         result = worker(payload)
-    except ConfigurationError:
+    except (ConfigurationError, InjectedCrash):
         raise
     except Exception as exc:
         raise _ObservedFailure(_worker_id(), exc) from exc
     return _Observed(result, _worker_id(), started, time.perf_counter() - t0)
 
 
-def _faulted(
-    plan: FaultPlan,
-    worker: Callable,
-    payload,
-    label: str,
-    attempt: int,
-    observe: bool,
-):
-    """Pool worker shim evaluating the fault plan before the task.
+class _Deferred(partial):
+    """The inline backend's future: the call runs when it is collected."""
 
-    Module-level (hence picklable); the immutable plan travels with the
-    submission, so whichever worker process picks the task up reaches the
-    same verdict — pool scheduling cannot perturb which faults fire.  A
-    matched ``worker.kill`` really kills this process (``os._exit``),
-    ``task.timeout`` sleeps past the runner's collection timeout, and
-    ``task.error`` raises a retryable transient fault.
+    def result(self, timeout: float | None = None):
+        """Run the call now; ``timeout`` bounds pool collection only."""
+        return self()
+
+
+class _Inline:
+    """The ``jobs=1`` submit backend.
+
+    :meth:`submit` defers the call until the attempt loop collects it,
+    so each cell starts only after the previous cell's progress
+    callback has fired.
     """
-    spec = plan.worker_fault(label, attempt)
-    if spec is not None:
-        raise_worker_fault(spec, label, in_pool=True)
-    return _observed(worker, payload) if observe else worker(payload)
+
+    submit = _Deferred
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        """Nothing runs in the background, so nothing to stop."""
 
 
 def cell_tasks(spec: ExperimentSpec) -> tuple[list[CellTask], list[str]]:
@@ -282,17 +293,22 @@ def cell_tasks(spec: ExperimentSpec) -> tuple[list[CellTask], list[str]]:
 class ParallelRunner:
     """Deterministic fan-out of independent campaign tasks.
 
+    The runner is the one carrier of executor options: the sweep and
+    campaign entry points take a ``runner=`` rather than repeating them.
+
     Parameters
     ----------
     jobs:
         Worker process count.  ``1`` (the default) runs every task
-        inline in the calling process — the exact serial path, no pool.
+        inline in the calling process, one cell at a time, with no
+        pool.
     timeout:
         Per-task wait bound in seconds (finite, > 0; ``None`` waits
-        forever) once the runner starts collecting that task; exceeding
-        it raises
+        forever) once the runner starts collecting a pool task;
+        exceeding it raises
         :class:`~repro.errors.ParallelExecutionError` (reason
-        ``"timeout"``) instead of hanging the campaign.
+        ``"timeout"``) instead of hanging the campaign.  Inline tasks
+        run to completion.
     retries:
         Extra attempts after a task's first failure (so a task runs at
         most ``retries + 1`` times).
@@ -301,8 +317,8 @@ class ParallelRunner:
         completed task, in completion-collection order.
     journal:
         Optional :class:`~repro.obs.journal.Journal`; when attached, the
-        runner streams cell lifecycle events into it (and routes pool
-        tasks through a worker shim that reports identity and timing).
+        runner streams cell lifecycle events into it (and has pool
+        workers report identity and timing).
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` accumulating
         campaign counters (cells completed, retries, cache hits,
@@ -329,14 +345,14 @@ class ParallelRunner:
         ``op`` stream feeds the metrics registry's summary metric.
         Metric values — and therefore reports — are byte-identical with
         recording on or off, and the sketches themselves are identical
-        across the inline and pool legs.
+        across the inline and pool backends.
     tracer:
         Optional :class:`~repro.obs.trace_spans.SpanTracer`; when
         attached, every cell attempt becomes a span in the campaign
-        trace — the inline leg opens a frame around the attempt (so
+        trace — the inline backend opens a frame around the attempt (so
         engine compile/advance phases and checkpoint writes nest under
-        it), and the pool leg emits leaf spans from the worker shim's
-        observed timing.
+        it), and the pool backend emits leaf spans from the worker
+        shim's observed timing.
         Defaults to the no-op tracer (one ``enabled`` check per cell);
         spans never feed back into results.
     """
@@ -392,25 +408,14 @@ class ParallelRunner:
         and every freshly-executed task is checkpointed as it completes.
         """
         items = list(payloads)
-        if not items:
-            return []
         if self.dist and worker is execute_cell:
-            # latency-recording twin: same cells, same results, plus
-            # per-repetition sketches on RunResult.dist
-            worker = execute_cell_dist
+            worker = partial(execute_cell, dist=True)
         store = self.checkpoint
-        if store is None:
-            if self.journal.enabled:
-                for i, payload in enumerate(items):
-                    self.journal.record("cell-queued", label=_label(payload, i))
-            if self.jobs == 1:
-                return self._run_inline(worker, items)
-            return self._run_pool(worker, items)
-
+        journal = self.journal
         total = len(items)
-        keys: list[str | None] = [store.key_for(p) for p in items]
+        keys = [None if store is None else store.key_for(p) for p in items]
         results: list = [None] * total
-        replayed = [False] * total
+        replayed: list[int] = []
         pending: list[int] = []
         for i, payload in enumerate(items):
             label = _label(payload, i)
@@ -418,208 +423,85 @@ class ParallelRunner:
                 runs, state = store.load(keys[i])
                 if state == "hit":
                     results[i] = runs
-                    replayed[i] = True
-                    if self.journal.enabled:
-                        self.journal.record(
+                    replayed.append(i)
+                    if journal.enabled:
+                        journal.record(
                             "cell-resumed", label=label, cached=True,
                             detail=keys[i],
                         )
-                    if self.metrics is not None:
-                        self.metrics.counter(
-                            "repro_cells_completed_total",
-                            "campaign cells resolved (run or cached)",
-                        ).inc()
-                        self.metrics.counter(
-                            "repro_cells_resumed_total",
-                            "cells replayed from resume checkpoints",
-                        ).inc()
+                    self._count(
+                        "repro_cells_completed_total",
+                        "repro_cells_resumed_total",
+                    )
                     continue
-                if state == "corrupt":
-                    if self.journal.enabled:
-                        self.journal.record(
-                            "checkpoint-corrupt", label=label,
-                            detail=keys[i],
-                        )
+                if state == "corrupt" and journal.enabled:
+                    journal.record(
+                        "checkpoint-corrupt", label=label, detail=keys[i],
+                    )
             pending.append(i)
-            if self.journal.enabled:
-                self.journal.record("cell-queued", label=label)
+            if journal.enabled:
+                journal.record("cell-queued", label=label)
 
-        done = 0
-        for i in range(total):
-            if replayed[i]:
-                done += 1
-                self._report(done, total, CachedCell(items[i], resumed=True))
-        if not pending:
-            return results
-
-        def on_result(j: int, payload, result) -> None:
-            key = keys[pending[j]]
-            if key is not None and isinstance(result, list):
-                tracer = self.tracer
-                if tracer.enabled:
-                    put_start = time.time()
-                    t0 = time.perf_counter()
-                    store.put(key, result, label=_label(payload, pending[j]))
-                    tracer.phase(
-                        "checkpoint", put_start, time.perf_counter() - t0
-                    )
-                else:
-                    store.put(key, result, label=_label(payload, pending[j]))
-
-        pending_items = [items[i] for i in pending]
-        if self.jobs == 1:
-            fresh = self._run_inline(
-                worker, pending_items,
-                total=total, done_base=done, on_result=on_result,
-            )
-        else:
-            fresh = self._run_pool(
-                worker, pending_items,
-                total=total, done_base=done, on_result=on_result,
-            )
-        for j, i in enumerate(pending):
-            results[i] = fresh[j]
+        for done, i in enumerate(replayed, start=1):
+            self._report(done, total, CachedCell(items[i], resumed=True))
+        if pending:
+            self._collect(worker, items, pending, keys, results, len(replayed))
         return results
 
-    def _run_inline(
+    def _collect(
         self,
         worker: Callable,
         items: Sequence,
-        *,
-        total: int | None = None,
-        done_base: int = 0,
-        on_result: Callable | None = None,
-    ) -> list:
-        results = []
-        wid = _worker_id()
-        tracer = self.tracer
-        total = len(items) if total is None else total
-        for i, payload in enumerate(items):
-            label = _label(payload, i)
-            attempts = 0
-            failures: list[AttemptFailure] = []
-            while True:
-                attempts += 1
-                started = time.time()
-                t0 = time.perf_counter()
-                if self.journal.enabled:
-                    self.journal.record(
-                        "cell-started", label=label, worker=wid,
-                        attempt=attempts, ts=started,
-                    )
-                frame = (
-                    tracer.begin_cell(label, attempt=attempts)
-                    if tracer.enabled
-                    else None
-                )
-                try:
-                    if self.faults.enabled:
-                        spec = self.faults.worker_fault(label, attempts)
-                        if spec is not None:
-                            raise_worker_fault(spec, label, in_pool=False)
-                    result = worker(payload)
-                except (ConfigurationError, InjectedCrash):
-                    # misconfiguration never heals on retry; a simulated
-                    # process death must abort like the real thing.
-                    if frame is not None:
-                        tracer.end_cell(frame, failed=True)
-                    raise
-                except Exception as exc:
-                    if frame is not None:
-                        tracer.end_cell(frame, failed=True)
-                    failures.append(AttemptFailure(attempts, wid, repr(exc)))
-                    self._record_failure(
-                        label, wid, attempts, repr(exc),
-                        final=attempts > self.retries,
-                    )
-                    if attempts > self.retries:
-                        raise ParallelExecutionError(
-                            label, attempts, "exception", str(exc),
-                            failures=failures,
-                        ) from exc
-                    continue
-                results.append(result)
-                if on_result is not None:
-                    on_result(i, payload, result)
-                if frame is not None:
-                    tracer.end_cell(frame)
-                self._observe_completion(
-                    label, result, worker=wid, attempt=attempts,
-                    started=started, duration=time.perf_counter() - t0,
-                )
-                break
-            self._report(done_base + i + 1, total, payload)
-        return results
-
-    def _run_pool(
-        self,
-        worker: Callable,
-        items: Sequence,
-        *,
-        total: int | None = None,
-        done_base: int = 0,
-        on_result: Callable | None = None,
-    ) -> list:
-        n = len(items)
-        total = n if total is None else total
-        results: list = [None] * n
-        attempts = [0] * n
-        failures: list[list[AttemptFailure]] = [[] for _ in range(n)]
-        collected = [False] * n
-        done = 0
-        observe = self.journal.enabled
-        plan = self.faults.plan if self.faults.enabled else None
-        executor = self._new_executor()
-        index_future: dict[int, Future] = {}
+        pending: list[int],
+        keys: list,
+        results: list,
+        done: int,
+    ) -> None:
+        """The attempt loop: run ``items[i]`` for each ``i`` in ``pending``
+        into ``results[i]``, collecting in input order and retrying failed
+        attempts, on the inline backend (``jobs=1``) or a process pool."""
+        inline = self.jobs == 1
+        journal, tracer = self.journal, self.tracer
+        total = len(items)
+        # who an unobserved failure is charged to: this process inline,
+        # an unknown pool worker otherwise
+        home = _worker_id() if inline else ""
+        faults = None
+        if self.faults.enabled:
+            faults = self.faults if inline else self.faults.plan
+        observe = inline or journal.enabled
+        backend = _Inline() if inline else self._new_executor()
+        attempts = [0] * total
+        futures: dict = {}
 
         def submit(i: int) -> None:
             attempts[i] += 1
-            if plan is not None:
-                index_future[i] = executor.submit(
-                    _faulted, plan, worker, items[i],
-                    _label(items[i], i), attempts[i], observe,
-                )
-            elif observe:
-                index_future[i] = executor.submit(_observed, worker, items[i])
-            else:
-                index_future[i] = executor.submit(worker, items[i])
+            futures[i] = backend.submit(
+                _attempt, worker, items[i], _label(items[i], i), attempts[i],
+                faults, not inline, observe,
+            )
 
         try:
-            for i in range(n):
+            for i in pending:
                 submit(i)
-            for i in range(n):
+            for pos, i in enumerate(pending):
                 label = _label(items[i], i)
-                while not collected[i]:
+                failures: list[AttemptFailure] = []
+                while True:
+                    frame = None
+                    if inline:
+                        if journal.enabled:
+                            journal.record(
+                                "cell-started", label=label, worker=home,
+                                attempt=attempts[i], ts=time.time(),
+                            )
+                        if tracer.enabled:
+                            frame = tracer.begin_cell(label, attempt=attempts[i])
                     try:
-                        value = index_future[i].result(timeout=self.timeout)
-                        if isinstance(value, _Observed):
-                            results[i] = value.result
-                            if on_result is not None:
-                                on_result(i, items[i], value.result)
-                            if self.tracer.enabled:
-                                self.tracer.emit_leaf(
-                                    "cell", label,
-                                    start=value.started,
-                                    duration=value.duration,
-                                    worker=value.worker,
-                                    attempt=attempts[i],
-                                )
-                            self._observe_completion(
-                                label, value.result, worker=value.worker,
-                                attempt=attempts[i], started=value.started,
-                                duration=value.duration,
-                            )
-                        else:
-                            results[i] = value
-                            if on_result is not None:
-                                on_result(i, items[i], value)
-                            self._observe_completion(
-                                label, value, worker="", attempt=attempts[i],
-                                started=None, duration=None,
-                            )
-                        collected[i] = True
+                        value = futures[i].result(timeout=self.timeout)
+                        break
                     except FutureTimeoutError:
-                        failures[i].append(AttemptFailure(
+                        failures.append(AttemptFailure(
                             attempts[i], "", f"timeout: exceeded {self.timeout}s"
                         ))
                         self._record_failure(
@@ -627,16 +509,11 @@ class ParallelRunner:
                             f"timeout after {self.timeout}s", final=True,
                         )
                         raise ParallelExecutionError(
-                            label,
-                            attempts[i],
-                            "timeout",
-                            f"exceeded {self.timeout}s",
-                            failures=failures[i],
+                            label, attempts[i], "timeout",
+                            f"exceeded {self.timeout}s", failures=failures,
                         ) from None
                     except BrokenExecutor as exc:
-                        # the pool is dead: every outstanding future is
-                        # lost.  Rebuild it and resubmit the survivors.
-                        failures[i].append(AttemptFailure(
+                        failures.append(AttemptFailure(
                             attempts[i], "", f"broken-pool: {exc!r}"
                         ))
                         if attempts[i] > self.retries:
@@ -644,58 +521,75 @@ class ParallelRunner:
                                 label, "", attempts[i], repr(exc), final=True,
                             )
                             raise ParallelExecutionError(
-                                label,
-                                attempts[i],
-                                "broken-pool",
-                                str(exc),
-                                failures=failures[i],
+                                label, attempts[i], "broken-pool", str(exc),
+                                failures=failures,
                             ) from exc
-                        executor.shutdown(wait=False, cancel_futures=True)
-                        executor = self._new_executor()
-                        if self.journal.enabled:
-                            self.journal.record(
+                        # the pool is dead: every outstanding future is
+                        # lost.  Rebuild it and resubmit the survivors.
+                        backend.shutdown(wait=False, cancel_futures=True)
+                        backend = self._new_executor()
+                        if journal.enabled:
+                            journal.record(
                                 "pool-rebuilt", label=label, detail=repr(exc)
                             )
-                        if self.metrics is not None:
-                            self.metrics.counter(
-                                "repro_pool_rebuilds_total",
-                                "worker-pool rebuilds after breakage",
-                            ).inc()
-                        for j in range(n):
-                            if not collected[j]:
-                                submit(j)
+                        self._count("repro_pool_rebuilds_total")
+                        for j in pending[pos:]:
+                            submit(j)
                     except (ConfigurationError, InjectedCrash):
-                        # a simulated crash (e.g. journal torn mid-append)
-                        # must abort the campaign, not look like a task
-                        # failure to the retry logic.
+                        # misconfiguration never heals on retry; a simulated
+                        # process death must abort like the real thing.
+                        if frame is not None:
+                            tracer.end_cell(frame, failed=True)
                         raise
                     except Exception as exc:
+                        if frame is not None:
+                            tracer.end_cell(frame, failed=True)
                         cause, wid = (
                             (exc.cause, exc.worker)
                             if isinstance(exc, _ObservedFailure)
-                            else (exc, "")
+                            else (exc, home)
                         )
-                        failures[i].append(
+                        final = attempts[i] > self.retries
+                        failures.append(
                             AttemptFailure(attempts[i], wid, repr(cause))
                         )
                         self._record_failure(
-                            label, wid, attempts[i], repr(cause),
-                            final=attempts[i] > self.retries,
+                            label, wid, attempts[i], repr(cause), final=final
                         )
-                        if attempts[i] > self.retries:
+                        if final:
                             raise ParallelExecutionError(
-                                label,
-                                attempts[i],
-                                "exception",
-                                str(cause),
-                                failures=failures[i],
+                                label, attempts[i], "exception", str(cause),
+                                failures=failures,
                             ) from cause
                         submit(i)
+
+                if isinstance(value, _Observed):
+                    result, wid, started, duration = value
+                else:
+                    result, wid, started, duration = value, "", None, None
+                results[i] = result
+                if keys[i] is not None and isinstance(result, list):
+                    put_start, t0 = time.time(), time.perf_counter()
+                    self.checkpoint.put(keys[i], result, label=label)
+                    if tracer.enabled:
+                        tracer.phase(
+                            "checkpoint", put_start, time.perf_counter() - t0
+                        )
+                if frame is not None:
+                    tracer.end_cell(frame)
+                elif tracer.enabled and started is not None:
+                    tracer.emit_leaf(
+                        "cell", label, start=started, duration=duration,
+                        worker=wid, attempt=attempts[i],
+                    )
+                self._observe_completion(
+                    label, result, worker=wid, attempt=attempts[i],
+                    started=started, duration=duration,
+                )
                 done += 1
-                self._report(done_base + done, total, items[i])
-            return results
+                self._report(done, total, items[i])
         finally:
-            executor.shutdown(wait=False, cancel_futures=True)
+            backend.shutdown(wait=False, cancel_futures=True)
 
     def _new_executor(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
@@ -707,6 +601,12 @@ class ParallelRunner:
             self.progress(done, total, payload)
 
     # -- telemetry ----------------------------------------------------------
+
+    def _count(self, *names: str) -> None:
+        """Bump the named campaign counters (when metrics are attached)."""
+        if self.metrics is not None:
+            for name in names:
+                self.metrics.counter(name, _COUNTERS[name]).inc()
 
     def _observe_completion(
         self,
@@ -769,11 +669,8 @@ class ParallelRunner:
                 sk = dist.get(stream)
                 if sk is not None and sk.count:
                     m.summary(metric, help_text).merge_sketch(sk)
+        self._count("repro_cells_completed_total")
         if m is not None:
-            m.counter(
-                "repro_cells_completed_total",
-                "campaign cells resolved (run or cached)",
-            ).inc()
             if duration is not None:
                 m.histogram(
                     "repro_cell_seconds", CELL_SECONDS_BUCKETS, "cell wall time"
@@ -802,14 +699,9 @@ class ParallelRunner:
                 attempt=attempt,
                 detail=detail,
             )
-        if self.metrics is not None:
-            name, help_text = (
-                ("repro_cell_failures_total", "cells that failed permanently")
-                if final
-                else ("repro_cell_retries_total",
-                      "cell attempts that failed and were retried")
-            )
-            self.metrics.counter(name, help_text).inc()
+        self._count(
+            "repro_cell_failures_total" if final else "repro_cell_retries_total"
+        )
 
     def report_cached(self, tasks: Sequence) -> None:
         """Deliver cache-resolved cells to progress, journal, and metrics.
@@ -825,42 +717,10 @@ class ParallelRunner:
                 self.journal.record(
                     "cell-cache-hit", label=_label(task, i), cached=True
                 )
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "repro_cells_completed_total",
-                    "campaign cells resolved (run or cached)",
-                ).inc()
-                self.metrics.counter(
-                    "repro_cache_hit_cells_total",
-                    "cells resolved from the sweep cache",
-                ).inc()
+            self._count(
+                "repro_cells_completed_total", "repro_cache_hit_cells_total"
+            )
             self._report(i + 1, n, CachedCell(task))
-
-    # -- sweep execution ----------------------------------------------------
-
-    def run_experiment(self, spec: ExperimentSpec) -> SweepResult:
-        """Parallel twin of :func:`repro.run.experiment.run_experiment`.
-
-        Decomposes the sweep into cell tasks, fans them out, and
-        reassembles the grid in serial order — the returned
-        :class:`SweepResult` is field-for-field identical to the serial
-        run at the same seed.
-        """
-        tasks, platform_order = cell_tasks(spec)
-        cell_runs = self.run_tasks(execute_cell, tasks)
-        cells = {
-            (
-                make_platform(t.kind, t.instance, t.mode).label(),
-                t.instance.name,
-            ): ExperimentResult(runs)
-            for t, runs in zip(tasks, cell_runs)
-        }
-        return SweepResult(
-            workload=spec.workload.name,
-            cells=cells,
-            instance_order=[i.name for i in spec.instances],
-            platform_order=platform_order,
-        )
 
 
 def _label(payload, index: int) -> str:

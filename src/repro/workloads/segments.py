@@ -114,8 +114,10 @@ class IoSegment:
             raise WorkloadError(
                 f"device_time must be finite and >= 0, got {self.device_time}"
             )
-        if not 1 <= self.irqs < math.inf:
-            raise WorkloadError(f"irqs must be >= 1, got {self.irqs}")
+        # `% 1` rejects fractions: the compiled tables store irqs as an
+        # int64 count, so 1.5 would be charged as 1.5 IRQs but counted as 1
+        if not 1 <= self.irqs < math.inf or self.irqs % 1:
+            raise WorkloadError(f"irqs must be an integer >= 1, got {self.irqs}")
         if self.kind is IrqKind.TIMER:
             raise WorkloadError("IoSegment kind must be DISK or NET")
 
@@ -178,9 +180,9 @@ class BarrierSegment:
     scope: str = "process"
 
     def __post_init__(self) -> None:
-        if not 0 <= self.barrier_id < math.inf:
+        if not 0 <= self.barrier_id < math.inf or self.barrier_id % 1:
             raise WorkloadError(
-                f"barrier_id must be finite and >= 0, got {self.barrier_id}"
+                f"barrier_id must be an integer >= 0, got {self.barrier_id}"
             )
         if self.scope not in ("process", "global"):
             raise WorkloadError(

@@ -522,7 +522,7 @@ _compute = st.builds(
 _io = st.builds(
     IoSegment,
     device_time=_floats,
-    irqs=st.one_of(st.integers(1, 4), st.just(1.5)),
+    irqs=st.integers(1, 4),
     kind=st.sampled_from([IrqKind.DISK, IrqKind.NET]),
     is_write=st.booleans(),
 )

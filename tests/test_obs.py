@@ -222,7 +222,7 @@ class TestJournalFromRuns:
     def test_serial_run_emits_cell_lifecycle(self):
         jl = MemoryJournal()
         spec = tiny_spec()
-        run_experiment(spec, journal=jl)
+        run_experiment(spec, runner=ParallelRunner(1, journal=jl))
         n = len(cell_tasks(spec)[0])
         assert jl.count("sweep-started") == 1
         assert jl.count("sweep-finished") == 1
@@ -237,7 +237,9 @@ class TestJournalFromRuns:
     def test_journal_does_not_change_results(self):
         spec = tiny_spec(seed=7)
         plain = run_experiment(spec)
-        journaled = run_experiment(spec, journal=MemoryJournal())
+        journaled = run_experiment(
+            spec, runner=ParallelRunner(1, journal=MemoryJournal())
+        )
         assert json.dumps(journaled.to_dict(), sort_keys=True) == json.dumps(
             plain.to_dict(), sort_keys=True
         )
@@ -258,9 +260,9 @@ class TestJournalFromRuns:
             ]
 
         serial = MemoryJournal()
-        run_experiment(spec, journal=serial)
+        run_experiment(spec, runner=ParallelRunner(1, journal=serial))
         parallel = MemoryJournal()
-        run_experiment(spec, jobs=jobs, journal=parallel)
+        run_experiment(spec, runner=ParallelRunner(jobs, journal=parallel))
         assert normalized(parallel) == normalized(serial)
 
     def test_retry_events_journaled(self, tmp_path):
@@ -284,7 +286,8 @@ class TestJournalFromRuns:
 
         jl = MemoryJournal()
         run_platform_sweep(
-            wl, insts, reps=1, seed=3, cache=cache, journal=jl
+            wl, insts, reps=1, seed=3, cache=cache,
+            runner=ParallelRunner(1, journal=jl),
         )
         probes = [e for e in jl.events if e.kind == "sweep-cache-probe"]
         assert len(probes) == 1 and probes[0].cached is True
@@ -297,7 +300,7 @@ class TestJournalFromRuns:
 class TestSummary:
     def _journal(self):
         jl = MemoryJournal()
-        run_experiment(tiny_spec(), journal=jl)
+        run_experiment(tiny_spec(), runner=ParallelRunner(1, journal=jl))
         return jl
 
     def test_summarize_round_trip(self):
@@ -354,7 +357,9 @@ class TestSummary:
 
     def test_dist_events_fold_into_percentiles(self):
         jl = MemoryJournal()
-        run_experiment(tiny_spec(), journal=jl, dist=True)
+        run_experiment(
+            tiny_spec(), runner=ParallelRunner(1, journal=jl, dist=True)
+        )
         summary = summarize_journal(jl.events)
         assert sorted(summary.dists) == [
             "Pinned CN", "Vanilla BM", "Vanilla CN",
@@ -533,7 +538,7 @@ class TestMetricsRegistry:
 class TestExport:
     def _events(self):
         jl = MemoryJournal()
-        run_experiment(tiny_spec(), journal=jl)
+        run_experiment(tiny_spec(), runner=ParallelRunner(1, journal=jl))
         return jl.events
 
     def test_chrome_trace_is_valid(self):

@@ -122,20 +122,22 @@ class TestSerialParallelEquivalence:
         spec = tiny_spec(seed=seed)
         serial = run_experiment(spec)
         for jobs in (2, 4):
-            parallel = run_experiment(spec, jobs=jobs)
+            parallel = run_experiment(spec, runner=ParallelRunner(jobs))
             assert sweep_json(parallel) == sweep_json(serial)
 
     def test_platform_sweep_jobs_param(self):
         wl = FfmpegWorkload(video_seconds=0.5, n_sync_chunks=4)
         insts = [instance_type("Large")]
         serial = run_platform_sweep(wl, insts, reps=2, seed=9)
-        parallel = run_platform_sweep(wl, insts, reps=2, seed=9, jobs=3)
+        parallel = run_platform_sweep(
+            wl, insts, reps=2, seed=9, runner=ParallelRunner(3)
+        )
         assert sweep_json(parallel) == sweep_json(serial)
 
     def test_cell_order_matches_serial(self):
         spec = tiny_spec()
         serial = run_experiment(spec)
-        parallel = run_experiment(spec, jobs=2)
+        parallel = run_experiment(spec, runner=ParallelRunner(2))
         assert list(parallel.cells) == list(serial.cells)
         assert parallel.platform_order == serial.platform_order
         assert parallel.instance_order == serial.instance_order
@@ -234,18 +236,24 @@ class TestFailureInjection:
             [run.value for run in cell] for cell in results
         ] == [[run.value for run in cell] for cell in clean]
 
-    def test_retries_exhausted_raises_structured_error(self):
-        runner = ParallelRunner(2, retries=1)
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_exhausted_retries_raise_structured_error(self, jobs):
+        runner = ParallelRunner(jobs, retries=1)
         with pytest.raises(ParallelExecutionError) as exc_info:
             runner.run_tasks(_always_fails, ["a", "b"])
         err = exc_info.value
         assert err.reason == "exception"
         assert err.attempts == 2  # first try + one retry
         assert "permanent failure" in str(err)
+        assert "history" in str(err)
         assert len(err.failures) == 2
         assert [f.attempt for f in err.failures] == [1, 2]
         assert all(isinstance(f, AttemptFailure) for f in err.failures)
         assert all("permanent failure" in f.error for f in err.failures)
+        # inline attempts run in this process, so the worker id is known;
+        # an unjournaled pool worker reports no identity
+        home = f"pid-{os.getpid()}" if jobs == 1 else ""
+        assert all(f.worker == home for f in err.failures)
 
     def test_timeout_surfaces_instead_of_hanging(self):
         runner = ParallelRunner(2, timeout=0.2, retries=0)
@@ -253,23 +261,15 @@ class TestFailureInjection:
             runner.run_tasks(_sleepy_worker, [30.0])
         assert exc_info.value.reason == "timeout"
 
-    def test_inline_path_also_retries(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_flaky_task_retried_to_success(self, jobs, tmp_path):
         sentinel = str(tmp_path / "flaky")
-        runner = ParallelRunner(1, retries=1)
+        runner = ParallelRunner(jobs, retries=1)
         out = runner.run_tasks(
             _flaky_add_one, [(v, sentinel) for v in range(5)]
         )
         assert out == [1, 2, 3, 4, 5]
         assert os.path.exists(sentinel)
-
-    def test_inline_retries_exhausted(self):
-        with pytest.raises(ParallelExecutionError) as exc_info:
-            ParallelRunner(1, retries=1).run_tasks(_always_fails, [1])
-        err = exc_info.value
-        assert len(err.failures) == 2
-        # the inline path runs in this process, so the worker id is known
-        assert all(f.worker == f"pid-{os.getpid()}" for f in err.failures)
-        assert "history" in str(err)
 
     def test_timeout_error_carries_failure_history(self):
         runner = ParallelRunner(2, timeout=0.2, retries=0)
@@ -306,6 +306,30 @@ class TestRunnerConfig:
     def test_empty_task_list(self):
         assert ParallelRunner(4).run_tasks(_always_fails, []) == []
 
+    @pytest.mark.parametrize(
+        "option",
+        ["jobs", "journal", "checkpoint", "dist", "trace"],
+    )
+    def test_campaign_runner_excludes_executor_options(self, option, tmp_path):
+        """Executor options have one carrier: a runner passed together
+        with any of them is a configuration error, not a silent merge."""
+        from repro.obs.trace_spans import TraceContext, mint_trace_id
+        from repro.run.persistence import CellStore
+
+        value = {
+            "jobs": 2,
+            "journal": MemoryJournal(),
+            "checkpoint": CellStore(tmp_path / "cells"),
+            "dist": True,
+            "trace": TraceContext(mint_trace_id("runner-conflict")),
+        }[option]
+        calls = []
+        runner = ParallelRunner(1)
+        runner.run_tasks = lambda *a: calls.append(a)
+        with pytest.raises(ConfigurationError, match=option):
+            run_campaign(_fig3_campaign(), runner=runner, **{option: value})
+        assert calls == []  # rejected before anything ran
+
     def test_cell_task_label(self):
         spec = tiny_spec(instances=("Large",))
         tasks, _ = cell_tasks(spec)
@@ -326,6 +350,28 @@ class TestProgressReporting:
         assert all(t == len(tasks) for _, t, _ in seen)
         assert [label for _, _, label in seen] == [t.label for t in tasks]
 
+    def test_inline_cell_starts_after_previous_progress(self):
+        """With one job each worker call comes after the previous cell's
+        progress callback, so the gap between two callbacks is exactly
+        one cell's execution."""
+        events = []
+
+        def worker(payload):
+            events.append(("call", payload))
+            return payload
+
+        runner = ParallelRunner(
+            1, progress=lambda done, total, payload: events.append(
+                ("progress", payload)
+            )
+        )
+        assert runner.run_tasks(worker, [0, 1, 2]) == [0, 1, 2]
+        assert events == [
+            ("call", 0), ("progress", 0),
+            ("call", 1), ("progress", 1),
+            ("call", 2), ("progress", 2),
+        ]
+
 
 class TestCacheIntegration:
     def test_parallel_run_writes_cache(self, tmp_path):
@@ -333,11 +379,11 @@ class TestCacheIntegration:
         wl = SyntheticWorkload(threads_per_process=2, phases=2)
         insts = [instance_type("Large")]
         sweep = run_platform_sweep(
-            wl, insts, reps=1, seed=3, jobs=2, cache=cache
+            wl, insts, reps=1, seed=3, runner=ParallelRunner(2), cache=cache
         )
         assert len(list(tmp_path.glob("sweep-*.json"))) == 1
         cached = run_platform_sweep(
-            wl, insts, reps=1, seed=3, jobs=2, cache=cache
+            wl, insts, reps=1, seed=3, runner=ParallelRunner(2), cache=cache
         )
         assert sweep_json(cached) == sweep_json(sweep)
 
@@ -371,7 +417,7 @@ class TestCacheIntegration:
         wl = SyntheticWorkload(threads_per_process=2, phases=2)
         insts = [instance_type("Large")]
         run_platform_sweep(wl, insts, reps=1, seed=3, cache=cache)
-        run_platform_sweep(wl, insts, reps=1, seed=3, jobs=2, cache=cache)
+        run_platform_sweep(wl, insts, reps=1, seed=3, runner=ParallelRunner(2), cache=cache)
         assert len(list(tmp_path.glob("sweep-*.json"))) == 1
 
 

@@ -19,6 +19,7 @@ import pytest
 from repro import (
     FfmpegWorkload,
     MpiSearchWorkload,
+    ParallelRunner,
     SyntheticWorkload,
     instance_type,
     make_platform,
@@ -212,10 +213,7 @@ class TestSerialParallelAgreement:
 
         def ledgers(jobs):
             journal = MemoryJournal()
-            if jobs == 1:
-                run_experiment(spec, journal=journal)
-            else:
-                run_experiment(spec, jobs=jobs, journal=journal)
+            run_experiment(spec, runner=ParallelRunner(jobs, journal=journal))
             return [
                 (e.label, e.extra)
                 for e in journal.events

@@ -256,14 +256,17 @@ class TestEndToEndDeterminism:
             seed=7,
         )
 
-    def _dist_payloads(self, **kwargs):
+    def _dist_payloads(self, jobs=1):
         import json
 
         from repro.obs import MemoryJournal
         from repro.run.experiment import run_experiment
+        from repro.run.parallel import ParallelRunner
 
         jl = MemoryJournal()
-        sweep = run_experiment(self._spec(), journal=jl, dist=True, **kwargs)
+        sweep = run_experiment(
+            self._spec(), runner=ParallelRunner(jobs, journal=jl, dist=True)
+        )
         payloads = {
             (e.label, e.extra["platform"]): json.dumps(
                 e.extra["streams"], sort_keys=True

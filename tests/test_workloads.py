@@ -90,10 +90,12 @@ class TestNonFiniteInput:
             lambda: IoSegment(device_time=_NAN),
             lambda: IoSegment(device_time=_INF),
             lambda: IoSegment(device_time=0.0, irqs=_NAN),
+            lambda: IoSegment(device_time=0.0, irqs=1.5),
             lambda: CommSegment(base_latency=_NAN),
             lambda: CommSegment(base_latency=0.0, cpu_work=_INF),
             lambda: CommSegment(base_latency=0.0, message_bytes=_NAN),
             lambda: BarrierSegment(barrier_id=_NAN),
+            lambda: BarrierSegment(barrier_id=0.5),
             lambda: OpMark(0, _NAN),
             lambda: OpMark(_NAN, 0.0),
             lambda: ThreadSpec(program=[ComputeSegment(1.0)], arrival_time=_NAN),
